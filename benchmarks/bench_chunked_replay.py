@@ -168,8 +168,8 @@ def check_identity(shots: int = 512, seed: int = 1234) -> dict:
     lane swaps in a 9-qubit Shor instance: density evolution is O(4^n) per
     gate, so the 12-qubit period-finding circuit would take minutes for a
     check that is backend-independent anyway."""
-    off = {"batch_diagonals": False, "chunk_threshold": 1 << 30}
-    on = {"batch_diagonals": True, "chunk_threshold": 2}
+    off = {"batch-diagonals": False, "chunk-threshold": 1 << 30}
+    on = {"batch-diagonals": True, "chunk-threshold": 2}
     small_shor = period_finding_circuit(7, 3)
     results: dict[str, dict[str, bool]] = {}
 
@@ -188,10 +188,10 @@ def check_identity(shots: int = 512, seed: int = 1234) -> dict:
                 else:
                     job, job_width = circuit, width
                 reference = backend.execute(
-                    job, shots, n_qubits=job_width, seed=seed, **off
+                    job, shots, n_qubits=job_width, seed=seed, options=off
                 )
                 tuned = backend.execute(
-                    job, shots, n_qubits=job_width, seed=seed, **on
+                    job, shots, n_qubits=job_width, seed=seed, options=on
                 )
                 per_backend[backend_name] = dict(reference.counts) == dict(
                     tuned.counts

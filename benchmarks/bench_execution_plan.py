@@ -12,10 +12,11 @@ traffic shapes that dominate the paper's workloads:
    Target: >= 2x.
 3. **Accelerator repeats** (broker-shaped traffic): repeated
    ``QppAccelerator.execute`` of one hot circuit with the plan cache warm
-   vs the ``use-plans=False`` legacy path.
+   vs the gate-by-gate oracle (:func:`gate_by_gate_counts`, the
+   pre-plan accelerator path replicated inline).
 
 It also verifies the acceptance identity: with a fixed seed, plan-executed
-results produce *the same counts* as the gate-by-gate path across the
+results produce *the same counts* as the gate-by-gate oracle across the
 algorithm suite (bell / ghz / qft / shor / vqe).
 
 Run standalone (writes the ``BENCH_execution_plan.json`` trajectory file)::
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import time
 from pathlib import Path
@@ -42,7 +44,7 @@ from repro.algorithms.ghz import ghz_circuit
 from repro.algorithms.qft import qft_circuit
 from repro.algorithms.shor import period_finding_circuit
 from repro.algorithms.vqe import deuteron_ansatz_circuit
-from repro.config import set_config
+from repro.config import get_config, set_config
 from repro.ir.builder import CircuitBuilder
 from repro.ir.gates import X
 from repro.ir.parameter import Parameter
@@ -108,6 +110,26 @@ def naive_parametric_evaluation(circuit, parameter_sets, n_qubits, optimize=True
             if instruction.is_measurement:
                 continue
             state.apply(instruction)
+
+
+def gate_by_gate_counts(circuit, width, shots, threads=None):
+    """The pre-plan accelerator path: IR passes, ``StateVector.apply`` per
+    instruction and ``sample_parallel`` at the config seed (or
+    ``run_trajectories`` for circuits with mid-circuit resets)."""
+    seed = get_config().seed
+    circuit = default_pass_manager().run(circuit)
+    engine = ParallelSimulationEngine(num_threads=threads)
+    try:
+        if any(inst.name == "RESET" for inst in circuit):
+            return engine.run_trajectories(width, circuit, shots, seed=seed)
+        state = StateVector(width)
+        for instruction in circuit:
+            if not instruction.is_measurement:
+                state.apply(instruction)
+        measured = circuit.measured_qubits() or tuple(range(width))
+        return engine.sample_parallel(state, shots, measured, seed=seed)
+    finally:
+        engine.close()
 
 
 def plan_parametric_evaluation(parametric_plan, parameter_sets):
@@ -221,16 +243,20 @@ def bench_accelerator_repeats(quick: bool) -> dict:
     circuit = qft_circuit(n_qubits)
     set_config(seed=1234)
 
-    def run(options):
-        accelerator = QppAccelerator(options)
+    def run():
+        accelerator = QppAccelerator()
         for _ in range(repeats):
             buffer = AcceleratorBuffer(n_qubits)
             accelerator.execute(buffer, circuit, shots=shots)
 
+    def run_legacy():
+        for _ in range(repeats):
+            gate_by_gate_counts(circuit, n_qubits, shots)
+
     reset_plan_cache()
-    run({"use-plans": True})  # warm the plan cache
-    plan_seconds = _best_of(2, run, {"use-plans": True})
-    legacy_seconds = _best_of(2, run, {"use-plans": False})
+    run()  # warm the plan cache
+    plan_seconds = _best_of(2, run)
+    legacy_seconds = _best_of(2, run_legacy)
     return {
         "workload": "accelerator_repeats",
         "n_qubits": n_qubits,
@@ -256,16 +282,14 @@ def algorithm_suite() -> dict:
 
 
 def check_identity(shots: int = 512, seed: int = 1234) -> dict:
-    """Fixed-seed counts equality: plan path vs gate-by-gate path."""
+    """Fixed-seed counts equality: plan path vs the gate-by-gate oracle."""
     results = {}
+    set_config(seed=seed)
     for name, (circuit, width) in algorithm_suite().items():
-        set_config(seed=seed)
         planned = AcceleratorBuffer(width)
-        QppAccelerator({"use-plans": True, "threads": 2}).execute(planned, circuit, shots=shots)
-        set_config(seed=seed)
-        legacy = AcceleratorBuffer(width)
-        QppAccelerator({"use-plans": False, "threads": 2}).execute(legacy, circuit, shots=shots)
-        results[name] = planned.get_measurement_counts() == legacy.get_measurement_counts()
+        QppAccelerator({"threads": 2}).execute(planned, circuit, shots=shots)
+        legacy = gate_by_gate_counts(circuit, width, shots, threads=2)
+        results[name] = planned.get_measurement_counts() == legacy
     return results
 
 
@@ -282,6 +306,7 @@ def run_suite(quick: bool = False) -> dict:
         "created_unix": time.time(),
         "python": platform.python_version(),
         "machine": platform.machine(),
+        "cpu_count": os.cpu_count(),
         "results": results,
         "counts_identity": identity,
         "counts_identity_all": all(identity.values()),

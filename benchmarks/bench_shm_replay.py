@@ -168,13 +168,13 @@ def check_identity(shots: int = 512, seed: int = 1234) -> dict:
     with ShardedExecutor(2, name="bench-shm-shard") as sharded:
         for name, (circuit, width) in algorithm_suite().items():
             reference = local.execute(
-                circuit, shots, n_qubits=width, seed=seed, chunk_threshold=2
+                circuit, shots, n_qubits=width, seed=seed, options={"chunk-threshold": 2}
             )
             via_shm = shm.execute(
-                circuit, shots, n_qubits=width, seed=seed, chunk_threshold=2
+                circuit, shots, n_qubits=width, seed=seed, options={"chunk-threshold": 2}
             )
             via_shards = sharded.execute(
-                circuit, shots, n_qubits=width, seed=seed, chunk_threshold=2
+                circuit, shots, n_qubits=width, seed=seed, options={"chunk-threshold": 2}
             )
             results[name] = {
                 "shm": dict(via_shm.counts) == dict(reference.counts),

@@ -75,6 +75,7 @@ from .core.api import (
 from .core.threading_api import qcor_thread, qcor_async, TaskGroup
 from .exec import (
     ExecutionBackend,
+    ExecutionOptions,
     ExecutionResult,
     LocalBackend,
     RetryPolicy,
@@ -165,6 +166,7 @@ __all__ = [
     "QPUManager",
     # execution backends
     "ExecutionBackend",
+    "ExecutionOptions",
     "ExecutionResult",
     "LocalBackend",
     "RetryPolicy",

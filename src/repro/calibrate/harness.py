@@ -25,11 +25,13 @@ hosts, where no parallel lane can win and the Amdahl fit is undefined.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
 
 import numpy as np
 
+from ..exec.options import ExecutionOptions
 from ..ir.builder import CircuitBuilder
 from ..ir.composite import CompositeInstruction
 from ..obs.profiler import ReplayProfiler, profiler_installed
@@ -47,6 +49,18 @@ KERNEL_KINDS = ("single", "controlled", "diagonal", "permutation", "gather", "de
 #: no diagonal/permutation structure the lowerer could specialise away).
 _H = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 _DENSE_4X4 = np.kron(_H, _H)
+
+
+#: Kernel-pure lowering: no IR passes (so every class survives) and no
+#: diagonal batching (so each diagonal gate keeps its own step).
+_MICROBENCH = ExecutionOptions(optimize=False, batch_diagonals=False)
+
+
+def _microbench_plan(
+    circuit: CompositeInstruction, n_qubits: int, chunk_threshold: int | None = None
+):
+    options = dataclasses.replace(_MICROBENCH, chunk_threshold=chunk_threshold)
+    return compile_plan(circuit, n_qubits, **options.compile_kwargs)
 
 
 def kernel_microbench_circuit(
@@ -136,12 +150,7 @@ def run_calibration(
 
     # -- 1. serial per-kernel cost factors ---------------------------------
     plans = {
-        kind: compile_plan(
-            kernel_microbench_circuit(kind, n_serial, layers),
-            n_serial,
-            optimize=False,
-            batch_diagonals=False,
-        )
+        kind: _microbench_plan(kernel_microbench_circuit(kind, n_serial, layers), n_serial)
         for kind in KERNEL_KINDS
     }
     profiler = ReplayProfiler()
@@ -180,9 +189,7 @@ def run_calibration(
         tiny_builder = CircuitBuilder(2, name="cal-dispatch")
         for i in range(256):
             tiny_builder.rz(i % 2, 0.2 + 0.001 * i)
-        tiny_plan = compile_plan(
-            tiny_builder.build(), 2, optimize=False, batch_diagonals=False
-        )
+        tiny_plan = _microbench_plan(tiny_builder.build(), 2)
         replay = _Replayer(tiny_plan)
         per_step = _best_seconds(replay, repeats + 1) / max(1, len(tiny_plan.steps))
         # Subtract the (tiny) 4-amplitude diagonal sweep; the remainder is
@@ -200,12 +207,8 @@ def run_calibration(
             n_big = 12 if quick else 16
             forced_threshold = 1 << 8
             for kind in KERNEL_KINDS:
-                plan = compile_plan(
-                    kernel_microbench_circuit(kind, n_big, 2),
-                    n_big,
-                    optimize=False,
-                    batch_diagonals=False,
-                    chunk_threshold=forced_threshold,
+                plan = _microbench_plan(
+                    kernel_microbench_circuit(kind, n_big, 2), n_big, forced_threshold
                 )
                 t_serial = _best_seconds(_Replayer(plan), repeats)
                 t_pool = _best_seconds(_Replayer(plan, pool=engine), repeats)
@@ -217,12 +220,8 @@ def run_calibration(
             crossover_exps = (12, 14) if quick else (12, 13, 14, 15, 16, 17)
             crossover: dict[str, dict[str, float]] = {}
             for exp in crossover_exps:
-                plan = compile_plan(
-                    kernel_microbench_circuit("single", exp, 2),
-                    exp,
-                    optimize=False,
-                    batch_diagonals=False,
-                    chunk_threshold=forced_threshold,
+                plan = _microbench_plan(
+                    kernel_microbench_circuit("single", exp, 2), exp, forced_threshold
                 )
                 t_serial = _best_seconds(_Replayer(plan), repeats)
                 t_pool = _best_seconds(_Replayer(plan, pool=engine), repeats)
@@ -242,12 +241,8 @@ def run_calibration(
 
             pool = get_shared_state_pool(shm_workers)
             n_shm = 10
-            plan = compile_plan(
-                kernel_microbench_circuit("diagonal", n_shm, 8),
-                n_shm,
-                optimize=False,
-                batch_diagonals=False,
-                chunk_threshold=1 << 8,
+            plan = _microbench_plan(
+                kernel_microbench_circuit("diagonal", n_shm, 8), n_shm, 1 << 8
             )
             if pool.can_replay(plan):
                 t_serial = _best_seconds(_Replayer(plan), repeats)

@@ -1,6 +1,8 @@
 """repro.exec — the unified execution-backend layer.
 
-One protocol (:class:`ExecutionBackend`) behind every execution path:
+One protocol (:class:`ExecutionBackend`) behind every execution path, one
+parsed options value (:class:`ExecutionOptions`) carried through all of
+them, and one worker wire format (:class:`ReplayRequest`):
 
 * :class:`LocalBackend` — in-process plan replay (shared plan cache + the
   thread-pool simulation engine); the default seam under the qpp
@@ -24,6 +26,8 @@ The backends return :class:`ExecutionResult`.
 """
 
 from .backend import DensityBackend, ExecutionBackend, LocalBackend
+from .options import ExecutionOptions
+from .request import ReplayRequest
 from .result import ExecutionResult
 from .retry import (
     DEFAULT_RETRY_POLICY,
@@ -38,7 +42,9 @@ from .stabilizer import StabilizerBackend, StabilizerTableau, estimate_tableau_b
 
 __all__ = [
     "ExecutionBackend",
+    "ExecutionOptions",
     "ExecutionResult",
+    "ReplayRequest",
     "LocalBackend",
     "DensityBackend",
     "StabilizerBackend",

@@ -36,10 +36,10 @@ from ..exceptions import ExecutionError
 from ..ir.composite import CompositeInstruction
 from ..obs.trace import get_tracer
 from ..testing import faults
-from ..simulator.execution_plan import DEFAULT_PRECISION
 from ..simulator.parallel_engine import ParallelSimulationEngine
 from ..simulator.plan_cache import PlanCache, get_plan_cache
 from ..simulator.statevector import StateVector
+from .options import ExecutionOptions, OptionsLike
 from .result import ExecutionResult
 
 __all__ = ["ExecutionBackend", "LocalBackend", "DensityBackend"]
@@ -58,21 +58,14 @@ class ExecutionBackend(abc.ABC):
         circuit: CompositeInstruction,
         n_qubits: int | None = None,
         *,
-        optimize: bool = True,
-        batch_diagonals: bool = True,
-        chunk_threshold: int | None = None,
-        precision: str = DEFAULT_PRECISION,
+        options: OptionsLike = None,
     ):
         """Lower ``circuit`` into a reusable plan; ``None`` when the backend
         executes directly (density-matrix evolution has no plan form).
 
-        ``batch_diagonals`` collapses adjacent diagonal runs at compile
-        time; ``chunk_threshold`` sets the minimum state size for
-        chunk-parallel replay (``None`` = the compiled default).  Both are
-        performance knobs — they never change measurement distributions.
-        ``precision`` is NOT a performance knob: ``"single"`` compiles and
-        replays in complex64 (half the memory traffic, ~1e-4 amplitude
-        deviation), so it participates in plan and job identity.
+        ``options`` (an :class:`~repro.exec.options.ExecutionOptions`, or a
+        mapping parsed into one) carries every compile and replay knob; see
+        its field docs for which of them are semantic.
         """
         return None
 
@@ -85,10 +78,7 @@ class ExecutionBackend(abc.ABC):
         n_qubits: int | None = None,
         seed: int | None = None,
         params: Params = None,
-        optimize: bool = True,
-        batch_diagonals: bool = True,
-        chunk_threshold: int | None = None,
-        precision: str = DEFAULT_PRECISION,
+        options: OptionsLike = None,
     ) -> ExecutionResult:
         """Run ``circuit`` for ``shots`` and return the reduced result."""
 
@@ -99,10 +89,7 @@ class ExecutionBackend(abc.ABC):
         *,
         n_qubits: int | None = None,
         params: Params = None,
-        optimize: bool = True,
-        batch_diagonals: bool = True,
-        chunk_threshold: int | None = None,
-        precision: str = DEFAULT_PRECISION,
+        options: OptionsLike = None,
     ) -> float:
         """Exact ``<circuit|observable|circuit>`` (no sampling noise)."""
         raise ExecutionError(
@@ -117,10 +104,7 @@ class ExecutionBackend(abc.ABC):
         *,
         n_qubits: int | None = None,
         seed: int | None = None,
-        optimize: bool = True,
-        batch_diagonals: bool = True,
-        chunk_threshold: int | None = None,
-        precision: str = DEFAULT_PRECISION,
+        options: OptionsLike = None,
     ) -> list[ExecutionResult]:
         """Run one parametric ``circuit`` once per binding (sweep).
 
@@ -137,10 +121,7 @@ class ExecutionBackend(abc.ABC):
                 n_qubits=n_qubits,
                 seed=seed,
                 params=binding,
-                optimize=optimize,
-                batch_diagonals=batch_diagonals,
-                chunk_threshold=chunk_threshold,
-                precision=precision,
+                options=options,
             )
             for binding in bindings
         ]
@@ -152,10 +133,7 @@ class ExecutionBackend(abc.ABC):
         bindings: Sequence[Mapping[str, float] | Sequence[float]],
         *,
         n_qubits: int | None = None,
-        optimize: bool = True,
-        batch_diagonals: bool = True,
-        chunk_threshold: int | None = None,
-        precision: str = DEFAULT_PRECISION,
+        options: OptionsLike = None,
     ) -> list[float]:
         """Exact expectation of ``observable`` per binding.
 
@@ -168,10 +146,7 @@ class ExecutionBackend(abc.ABC):
                 observable,
                 n_qubits=n_qubits,
                 params=binding,
-                optimize=optimize,
-                batch_diagonals=batch_diagonals,
-                chunk_threshold=chunk_threshold,
-                precision=precision,
+                options=options,
             )
             for binding in bindings
         ]
@@ -299,20 +274,10 @@ class LocalBackend(ExecutionBackend):
         circuit: CompositeInstruction,
         n_qubits: int | None = None,
         *,
-        optimize: bool = True,
-        batch_diagonals: bool = True,
-        chunk_threshold: int | None = None,
-        precision: str = DEFAULT_PRECISION,
+        options: OptionsLike = None,
     ):
-        plan, _ = self._cache().lookup_or_compile(
-            circuit,
-            _resolve_width(circuit, n_qubits),
-            optimize=optimize,
-            batch_diagonals=batch_diagonals,
-            chunk_threshold=chunk_threshold,
-            precision=precision,
-        )
-        return plan
+        width = _resolve_width(circuit, n_qubits)
+        return self._cache().lookup_or_compile(circuit, width, options)[0]
 
     def execute(
         self,
@@ -322,10 +287,7 @@ class LocalBackend(ExecutionBackend):
         n_qubits: int | None = None,
         seed: int | None = None,
         params: Params = None,
-        optimize: bool = True,
-        batch_diagonals: bool = True,
-        chunk_threshold: int | None = None,
-        precision: str = DEFAULT_PRECISION,
+        options: OptionsLike = None,
     ) -> ExecutionResult:
         width = _resolve_width(circuit, n_qubits)
         tracer = get_tracer()
@@ -340,14 +302,7 @@ class LocalBackend(ExecutionBackend):
         # path); cached replays pay only the lookup.
         started = time.perf_counter()
         with tracer.span("compile", attrs={"circuit": circuit.name}) as compile_span:
-            plan, cached = self._cache().lookup_or_compile(
-                circuit,
-                width,
-                optimize=optimize,
-                batch_diagonals=batch_diagonals,
-                chunk_threshold=chunk_threshold,
-                precision=precision,
-            )
+            plan, cached = self._cache().lookup_or_compile(circuit, width, options)
             compile_span.set_attribute("plan_cached", cached)
         if plan.is_parametric:
             if params is None:
@@ -410,20 +365,10 @@ class LocalBackend(ExecutionBackend):
         *,
         n_qubits: int | None = None,
         params: Params = None,
-        optimize: bool = True,
-        batch_diagonals: bool = True,
-        chunk_threshold: int | None = None,
-        precision: str = DEFAULT_PRECISION,
+        options: OptionsLike = None,
     ) -> float:
         width = _resolve_width(circuit, n_qubits)
-        plan, _ = self._cache().lookup_or_compile(
-            circuit,
-            width,
-            optimize=optimize,
-            batch_diagonals=batch_diagonals,
-            chunk_threshold=chunk_threshold,
-            precision=precision,
-        )
+        plan, _ = self._cache().lookup_or_compile(circuit, width, options)
         if plan.is_parametric:
             if params is None:
                 raise ExecutionError(
@@ -446,10 +391,7 @@ class LocalBackend(ExecutionBackend):
         *,
         n_qubits: int | None = None,
         seed: int | None = None,
-        optimize: bool = True,
-        batch_diagonals: bool = True,
-        chunk_threshold: int | None = None,
-        precision: str = DEFAULT_PRECISION,
+        options: OptionsLike = None,
     ) -> list[ExecutionResult]:
         """Compile-once sweep: one plan lookup, N in-place rebinds.
 
@@ -466,14 +408,7 @@ class LocalBackend(ExecutionBackend):
             token.check()
         faults.fire("local.replay")
         with tracer.span("compile", attrs={"circuit": circuit.name}) as compile_span:
-            plan, cached = self._cache().lookup_or_compile(
-                circuit,
-                width,
-                optimize=optimize,
-                batch_diagonals=batch_diagonals,
-                chunk_threshold=chunk_threshold,
-                precision=precision,
-            )
+            plan, cached = self._cache().lookup_or_compile(circuit, width, options)
             compile_span.set_attribute("plan_cached", cached)
         if not plan.is_parametric or plan.has_reset:
             # Nothing to rebind (or the trajectory path applies): the
@@ -484,10 +419,7 @@ class LocalBackend(ExecutionBackend):
                 shots,
                 n_qubits=n_qubits,
                 seed=seed,
-                optimize=optimize,
-                batch_diagonals=batch_diagonals,
-                chunk_threshold=chunk_threshold,
-                precision=precision,
+                options=options,
             )
         results: list[ExecutionResult] = []
         for index, binding in enumerate(bindings):
@@ -538,23 +470,13 @@ class LocalBackend(ExecutionBackend):
         bindings: Sequence[Mapping[str, float] | Sequence[float]],
         *,
         n_qubits: int | None = None,
-        optimize: bool = True,
-        batch_diagonals: bool = True,
-        chunk_threshold: int | None = None,
-        precision: str = DEFAULT_PRECISION,
+        options: OptionsLike = None,
     ) -> list[float]:
         width = _resolve_width(circuit, n_qubits)
         token = active_cancel_token()
         if token is not None:
             token.check()
-        plan, _ = self._cache().lookup_or_compile(
-            circuit,
-            width,
-            optimize=optimize,
-            batch_diagonals=batch_diagonals,
-            chunk_threshold=chunk_threshold,
-            precision=precision,
-        )
+        plan, _ = self._cache().lookup_or_compile(circuit, width, options)
         if plan.has_reset:
             raise ExecutionError(
                 "exact expectations are undefined for circuits with mid-circuit resets"
@@ -565,10 +487,7 @@ class LocalBackend(ExecutionBackend):
                 observable,
                 bindings,
                 n_qubits=n_qubits,
-                optimize=optimize,
-                batch_diagonals=batch_diagonals,
-                chunk_threshold=chunk_threshold,
-                precision=precision,
+                options=options,
             )
         values: list[float] = []
         for binding in bindings:
@@ -609,23 +528,16 @@ class DensityBackend(ExecutionBackend):
         n_qubits: int | None = None,
         seed: int | None = None,
         params: Params = None,
-        optimize: bool = True,
-        batch_diagonals: bool = True,
-        chunk_threshold: int | None = None,
-        precision: str = DEFAULT_PRECISION,
+        options: OptionsLike = None,
     ) -> ExecutionResult:
-        # batch_diagonals / chunk_threshold are plan-replay knobs; density
-        # evolution has no plan form, so they are accepted (protocol
-        # uniformity) and ignored.  precision is semantic: "single" evolves
-        # the matrix in complex64 (half the footprint, diagonal-probability
-        # error ≤ 1e-4 at the guarded sizes — Kraus sums accumulate error
-        # linearly in depth, so the bound is looser than the statevector
-        # lane's) and participates in the job identity like every other
-        # semantic option.
+        # Only precision applies (density evolution has no plan form):
+        # "single" evolves the matrix in complex64 (half the footprint,
+        # diagonal-probability error ≤ 1e-4 at the guarded sizes — Kraus
+        # sums accumulate error linearly in depth, so the bound is looser
+        # than the statevector lane's).
         from ..simulator.density import DensityMatrix
-        from ..simulator.execution_plan import resolve_precision
 
-        tier = resolve_precision(precision)
+        tier = ExecutionOptions.parse(options).precision
         dtype = np.complex128 if tier == "double" else np.complex64
         token = active_cancel_token()
         if token is not None:

@@ -40,6 +40,7 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -52,25 +53,20 @@ from ..exceptions import (
     RetryExhausted,
 )
 from ..ir.composite import CompositeInstruction
-from ..ir.serialization import circuit_from_json, circuit_to_json
-from ..obs.profiler import ReplayProfiler, active_profiler, profiler_installed
+from ..obs.profiler import ReplayProfiler, profiler_installed
 from ..obs.trace import TraceContext, get_tracer
 from ..testing import faults
-from .retry import RetryPolicy
-from ..simulator.execution_plan import (
-    DEFAULT_PRECISION,
-    compile_parametric_plan,
-    compile_plan,
-)
 from ..simulator.parallel_engine import (
     merge_counts,
     replay_trajectory_chunk,
     split_shots,
 )
-from ..simulator.plan_cache import cached_content_hash
 from ..simulator.sampling import sample_counts
 from .backend import ExecutionBackend, Params, _resolve_width
+from .options import OptionsLike
+from .request import ReplayRequest, ingest_obs, obs_request, worker_plan_cache
 from .result import ExecutionResult
+from .retry import RetryPolicy
 
 __all__ = [
     "ShardedExecutor",
@@ -82,37 +78,23 @@ __all__ = [
 _WAIT_POLL = 0.05
 
 
-# ---------------------------------------------------------------------------
-# Parent-side payload preparation
-# ---------------------------------------------------------------------------
+def _shipped_deadline(token) -> float | None:
+    """The deadline a request carries to its worker.
 
-
-def _circuit_payload(circuit: CompositeInstruction) -> tuple[str, str]:
-    """``(canonical_json, content_hash)`` for ``circuit``, memoised on it.
-
-    The memo follows the same invalidation rule as
-    :func:`~repro.simulator.plan_cache.cached_content_hash`: it is keyed by
-    the instruction count, the only thing ``CompositeInstruction.add`` can
-    change.
+    Refuses to ship a job whose token is already dead.  The deadline
+    crosses the process boundary (wall clock); client-side cancels cannot —
+    the parent stops awaiting instead, and the chunk completes harmlessly.
     """
-    n = circuit.n_instructions
-    memo = circuit.__dict__.get("_exec_payload")
-    if memo is not None and memo[0] == n:
-        return memo[1], memo[2]
-    payload = circuit_to_json(circuit)
-    digest = cached_content_hash(circuit)
-    circuit.__dict__["_exec_payload"] = (n, payload, digest)
-    return payload, digest
+    if token is None:
+        return None
+    token.check()
+    return token.deadline
 
 
 # ---------------------------------------------------------------------------
 # Worker-side code (runs inside shard processes; must stay module level so
 # it is picklable by reference)
 # ---------------------------------------------------------------------------
-
-#: Per-process plan cache: (content_hash, width, compile options) -> plan.
-_WORKER_PLANS: "OrderedDict[tuple, object]" = OrderedDict()
-_WORKER_PLAN_CAPACITY = 128
 
 #: Lazily-created per-worker-process engine used to chunk-parallelise each
 #: shard's single-state plan replays across its own worker threads (the
@@ -146,8 +128,6 @@ def _init_worker_process(total_shards: int, shm_processes: int = 0) -> None:
 def _worker_engine():
     global _WORKER_ENGINE
     if _WORKER_ENGINE is None:
-        import os
-
         from ..simulator.parallel_engine import ParallelSimulationEngine
 
         cores = os.cpu_count() or 1
@@ -186,68 +166,58 @@ def _worker_replay_pool(plan):
     return engine
 
 
-def _worker_plan(
-    payload: str,
-    digest: str,
-    width: int,
-    optimize: bool,
-    batch_diagonals: bool = True,
-    chunk_threshold: int | None = None,
-    precision: str = DEFAULT_PRECISION,
-):
-    """Compile-once lookup inside a worker process.
+def _worker_plan(request: ReplayRequest):
+    """Compile-once lookup in this worker's plan cache: ``(plan, cached)``.
 
-    ``batch_diagonals`` participates in the key because batched plans are
-    ulp-level different artefacts — the parent compiled with the same flag,
-    and fixed-seed bit-identity across processes depends on both sides
-    replaying the same kernels.  ``precision`` participates because a
-    complex64 plan is a semantically different artefact (different
-    payload dtypes, different results).
+    The key carries the full ``options.compile_key``: batched plans are
+    ulp-level different artefacts and complex64 plans semantically
+    different ones, and fixed-seed bit-identity across processes depends
+    on parent and worker replaying the same kernels.
     """
-    key = (digest, width, optimize, batch_diagonals, chunk_threshold, precision)
-    plan = _WORKER_PLANS.get(key)
-    if plan is not None:
-        _WORKER_PLANS.move_to_end(key)
-        return plan, True
-    faults.fire("sharded.worker.compile")
-    circuit = circuit_from_json(payload)
-    if circuit.is_parameterized:
-        plan = compile_parametric_plan(
-            circuit,
-            width,
-            optimize=optimize,
-            batch_diagonals=batch_diagonals,
-            chunk_threshold=chunk_threshold,
-            precision=precision,
-        )
-    else:
-        plan = compile_plan(
-            circuit,
-            width,
-            optimize=optimize,
-            batch_diagonals=batch_diagonals,
-            chunk_threshold=chunk_threshold,
-            precision=precision,
-        )
-    _WORKER_PLANS[key] = plan
-    while len(_WORKER_PLANS) > _WORKER_PLAN_CAPACITY:
-        _WORKER_PLANS.popitem(last=False)
-    return plan, False
+    return request.plan("sharded.worker.compile")
 
 
-def _replay_chunk_body(
-    payload: str,
-    digest: str,
-    width: int,
-    optimize: bool,
-    shots: int,
-    seed_seq: np.random.SeedSequence,
-    params: Params,
-    trajectories: bool,
-    batch_diagonals: bool,
-    chunk_threshold: int | None,
-    precision: str = DEFAULT_PRECISION,
-) -> tuple[dict[str, int], int, int, bool]:
+def _in_envelope(request: ReplayRequest, span_name: str, attrs: dict, body):
+    """Run ``body(request)`` under the request's deadline and observability
+    envelope; returns ``(*body_result, obs_payload)``.
+
+    ``request.deadline`` is installed as this worker's ambient cancel
+    token, so the replay loops abandon an expired job at the next step
+    boundary and the typed :class:`~repro.exceptions.DeadlineExceeded`
+    travels back through the future instead of the chunk running to
+    completion for nothing.  ``request.obs`` asks for this worker's spans
+    (recorded under the shipped trace context) and/or per-kernel profile;
+    the returned ``obs_payload`` (``None`` when nothing was requested)
+    carries them back across the process boundary for the parent to
+    stitch — including spans the worker's own shm lane ingested from *its*
+    workers, so two-hop traces (broker → shard → shm) assemble into one
+    tree.
+    """
+    token = (
+        CancelToken(deadline=request.deadline) if request.deadline is not None else None
+    )
+    with cancel_scope(token):
+        if token is not None:
+            token.check()
+        if request.obs is None:
+            return (*body(request), None)
+        tracer = get_tracer()
+        parent_ctx = TraceContext.from_wire(request.obs.get("trace"))
+        profiler = ReplayProfiler() if request.obs.get("profile") else None
+        with tracer.capture() as sink:
+            with tracer.span(
+                span_name, attrs={"pid": os.getpid(), **attrs}, parent=parent_ctx
+            ):
+                with profiler_installed(profiler):
+                    result = body(request)
+        obs_payload = {
+            "spans": [span.to_dict() for span in sink],
+            "profile": profiler.to_wire() if profiler is not None else None,
+        }
+    return (*result, obs_payload)
+
+
+def _replay_chunk_body(request: ReplayRequest) -> tuple:
     """The chunk execution itself: (counts, depth, n_gates, plan_cached).
 
     Mirrors the in-process paths operation for operation so fixed-seed
@@ -267,16 +237,14 @@ def _replay_chunk_body(
     faults.fire("sharded.worker.replay")
     tracer = get_tracer()
     with tracer.span("compile") as compile_span:
-        plan, cached = _worker_plan(
-            payload, digest, width, optimize, batch_diagonals, chunk_threshold,
-            precision,
-        )
+        plan, cached = _worker_plan(request)
         compile_span.set_attribute("plan_cached", cached)
     if plan.is_parametric:
-        plan = plan.bind(params if params is not None else ())
+        plan = plan.bind(request.params if request.params is not None else ())
+    width, shots = request.width, request.shots
     measured = plan.measured_qubits or tuple(range(width))
-    rng = np.random.default_rng(seed_seq)
-    if plan.has_reset or trajectories:
+    rng = np.random.default_rng(request.seed)
+    if plan.has_reset or request.trajectories:
         with tracer.span("replay", attrs={"mode": "trajectories", "shots": shots}):
             counts = replay_trajectory_chunk(
                 plan, shots, rng, measured, width, pool=_worker_replay_pool(plan)
@@ -289,82 +257,15 @@ def _replay_chunk_body(
     return counts, plan.depth, plan.n_gates, cached
 
 
-def _replay_chunk(
-    payload: str,
-    digest: str,
-    width: int,
-    optimize: bool,
-    shots: int,
-    seed_seq: np.random.SeedSequence,
-    params: Params = None,
-    trajectories: bool = False,
-    batch_diagonals: bool = True,
-    chunk_threshold: int | None = None,
-    precision: str = DEFAULT_PRECISION,
-    obs: dict | None = None,
-    ctl: dict | None = None,
-) -> tuple[dict[str, int], int, int, bool, dict | None]:
+def _replay_chunk(request: ReplayRequest) -> tuple:
     """Execute one shard chunk; returns
-    ``(counts, depth, n_gates, plan_cached, obs_payload)``.
-
-    ``obs`` is the parent's observability request: a serialised trace
-    context to record this worker's spans under, and/or a profile flag.
-    The returned ``obs_payload`` (``None`` when nothing was requested)
-    carries the worker's finished spans and per-kernel profile back across
-    the process boundary for the parent to stitch — including spans the
-    worker's own shm lane ingested from *its* workers, so two-hop traces
-    (broker → shard → shm) assemble into one tree.
-
-    ``ctl`` is the parent's lifecycle request: a wall-clock ``deadline``
-    installed as this worker's ambient cancel token, so the replay loops
-    abandon an expired job at the next step boundary and the typed
-    :class:`~repro.exceptions.DeadlineExceeded` travels back through the
-    future instead of the chunk running to completion for nothing.
-    """
-    body_args = (
-        payload, digest, width, optimize, shots, seed_seq, params,
-        trajectories, batch_diagonals, chunk_threshold, precision,
+    ``(counts, depth, n_gates, plan_cached, obs_payload)``."""
+    return _in_envelope(
+        request, "shard-replay", {"shots": request.shots}, _replay_chunk_body
     )
-    token = (
-        CancelToken(deadline=ctl.get("deadline")) if ctl is not None else None
-    )
-    with cancel_scope(token):
-        if token is not None:
-            token.check()
-        if obs is None:
-            counts, depth, n_gates, cached = _replay_chunk_body(*body_args)
-            return counts, depth, n_gates, cached, None
-        tracer = get_tracer()
-        parent_ctx = TraceContext.from_wire(obs.get("trace"))
-        profiler = ReplayProfiler() if obs.get("profile") else None
-        with tracer.capture() as sink:
-            with tracer.span(
-                "shard-replay",
-                attrs={"pid": os.getpid(), "shots": shots},
-                parent=parent_ctx,
-            ):
-                with profiler_installed(profiler):
-                    counts, depth, n_gates, cached = _replay_chunk_body(*body_args)
-        obs_payload = {
-            "spans": [span.to_dict() for span in sink],
-            "profile": profiler.to_wire() if profiler is not None else None,
-        }
-    return counts, depth, n_gates, cached, obs_payload
 
 
-def _sweep_chunk_body(
-    payload: str,
-    digest: str,
-    width: int,
-    optimize: bool,
-    bindings: Sequence,
-    shots: int,
-    seed: int | None,
-    batch_diagonals: bool,
-    chunk_threshold: int | None,
-    precision: str,
-    observable,
-) -> tuple[list, int, int, bool]:
+def _sweep_chunk_body(request: ReplayRequest) -> tuple[list, int, int, bool]:
     """Compile once, evaluate a contiguous binding range in place.
 
     Returns ``(results, depth, n_gates, plan_cached)`` where ``results``
@@ -377,15 +278,13 @@ def _sweep_chunk_body(
     faults.fire("sharded.worker.replay")
     tracer = get_tracer()
     with tracer.span("compile") as compile_span:
-        plan, cached = _worker_plan(
-            payload, digest, width, optimize, batch_diagonals, chunk_threshold,
-            precision,
-        )
+        plan, cached = _worker_plan(request)
         compile_span.set_attribute("plan_cached", cached)
     token = active_cancel_token()
+    width, shots, observable = request.width, request.shots, request.observable
     measured = plan.measured_qubits or tuple(range(width))
     results: list = []
-    for values in bindings:
+    for values in request.bindings:
         if token is not None:
             # Per-binding boundary: an expired sweep stops between
             # evaluations instead of draining the whole range.
@@ -397,23 +296,11 @@ def _sweep_chunk_body(
         bound = plan.bind(values) if plan.is_parametric else plan
         pool = _worker_replay_pool(bound)
         if observable is not None:
-            if bound.has_reset:
-                raise ExecutionError(
-                    "exact expectations are undefined for circuits with "
-                    "mid-circuit resets"
-                )
-            from ..simulator.statevector import StateVector
-
-            state = StateVector(
-                width,
-                data=bound.execute(bound.new_state(), pool=pool),
-                dtype=bound.dtype,
-            )
             results.append(
-                (float(state.expectation(observable)), time.perf_counter() - started)
+                (_expectation(bound, observable, pool), time.perf_counter() - started)
             )
             continue
-        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+        rng = np.random.default_rng(np.random.SeedSequence(request.seed).spawn(1)[0])
         if bound.has_reset:
             with tracer.span("replay", attrs={"mode": "trajectories", "shots": shots}):
                 counts = replay_trajectory_chunk(
@@ -428,117 +315,55 @@ def _sweep_chunk_body(
     return results, plan.depth, plan.n_gates, cached
 
 
-def _sweep_chunk(
-    payload: str,
-    digest: str,
-    width: int,
-    optimize: bool,
-    bindings: Sequence,
-    shots: int,
-    seed: int | None = None,
-    batch_diagonals: bool = True,
-    chunk_threshold: int | None = None,
-    precision: str = DEFAULT_PRECISION,
-    observable=None,
-    obs: dict | None = None,
-    ctl: dict | None = None,
-) -> tuple[list, int, int, bool, dict | None]:
+def _sweep_chunk(request: ReplayRequest) -> tuple:
     """Execute one sweep binding-range on this shard; returns
     ``(results, depth, n_gates, plan_cached, obs_payload)``.
 
-    The circuit ships once per worker by content hash (``_worker_plan``'s
-    compile-once cache); every binding in the range replays the same plan
-    clone via in-place rebind.  ``obs``/``ctl`` behave exactly as in
-    :func:`_replay_chunk`.
+    The circuit ships once per worker by content hash (the worker's
+    compile-once plan cache); every binding in the range replays the same
+    plan clone via in-place rebind.
     """
-    body_args = (
-        payload, digest, width, optimize, bindings, shots, seed,
-        batch_diagonals, chunk_threshold, precision, observable,
+    return _in_envelope(
+        request, "sweep-chunk", {"bindings": len(request.bindings)}, _sweep_chunk_body
     )
-    token = CancelToken(deadline=ctl.get("deadline")) if ctl is not None else None
-    with cancel_scope(token):
-        if token is not None:
-            token.check()
-        if obs is None:
-            results, depth, n_gates, cached = _sweep_chunk_body(*body_args)
-            return results, depth, n_gates, cached, None
-        tracer = get_tracer()
-        parent_ctx = TraceContext.from_wire(obs.get("trace"))
-        profiler = ReplayProfiler() if obs.get("profile") else None
-        with tracer.capture() as sink:
-            with tracer.span(
-                "sweep-chunk",
-                attrs={"pid": os.getpid(), "bindings": len(bindings)},
-                parent=parent_ctx,
-            ):
-                with profiler_installed(profiler):
-                    results, depth, n_gates, cached = _sweep_chunk_body(*body_args)
-        obs_payload = {
-            "spans": [span.to_dict() for span in sink],
-            "profile": profiler.to_wire() if profiler is not None else None,
-        }
-    return results, depth, n_gates, cached, obs_payload
 
 
-def _chunk_expectation(
-    payload: str,
-    digest: str,
-    width: int,
-    optimize: bool,
-    params: Params,
-    observable,
-    batch_diagonals: bool = True,
-    chunk_threshold: int | None = None,
-    precision: str = DEFAULT_PRECISION,
-) -> float:
-    """Exact expectation evaluated inside a worker (plan replay + <O>)."""
+def _expectation(plan, observable, pool) -> float:
+    """Exact ``<plan|observable|plan>`` of a bound plan replayed on ``pool``."""
     from ..simulator.statevector import StateVector
 
-    plan, _ = _worker_plan(
-        payload, digest, width, optimize, batch_diagonals, chunk_threshold, precision
-    )
-    if plan.is_parametric:
-        plan = plan.bind(params if params is not None else ())
     if plan.has_reset:
         raise ExecutionError(
             "exact expectations are undefined for circuits with mid-circuit resets"
         )
-    state = StateVector(
-        width,
-        data=plan.execute(plan.new_state(), pool=_worker_replay_pool(plan)),
-        dtype=plan.dtype,
-    )
+    data = plan.execute(plan.new_state(), pool=pool)
+    state = StateVector(plan.n_qubits, data=data, dtype=plan.dtype)
     return float(state.expectation(observable))
 
 
-def _warm_worker_plan(
-    payload: str,
-    digest: str,
-    width: int,
-    optimize: bool,
-    batch_diagonals: bool = True,
-    chunk_threshold: int | None = None,
-    precision: str = DEFAULT_PRECISION,
-) -> bool:
+def _chunk_expectation(request: ReplayRequest) -> float:
+    """Exact expectation evaluated inside a worker (plan replay + <O>)."""
+    plan, _ = _worker_plan(request)
+    if plan.is_parametric:
+        plan = plan.bind(request.params if request.params is not None else ())
+    return _expectation(plan, request.observable, _worker_replay_pool(plan))
+
+
+def _warm_worker_plan(request: ReplayRequest) -> bool:
     """Compile into the worker's plan cache; returns whether it was warm.
 
     (Plans hold thread-local scratch state and never cross the process
     boundary — only this flag does.)
     """
-    _, cached = _worker_plan(
-        payload, digest, width, optimize, batch_diagonals, chunk_threshold, precision
-    )
-    return cached
+    return _worker_plan(request)[1]
 
 
 def _worker_pid() -> int:
-    import os
-
     return os.getpid()
 
 
 def _worker_plan_cache_size() -> int:
-    return len(_WORKER_PLANS)
+    return len(worker_plan_cache())
 
 
 # ---------------------------------------------------------------------------
@@ -822,10 +647,7 @@ class ShardedExecutor(ExecutionBackend):
         circuit: CompositeInstruction,
         n_qubits: int | None = None,
         *,
-        optimize: bool = True,
-        batch_diagonals: bool = True,
-        chunk_threshold: int | None = None,
-        precision: str = DEFAULT_PRECISION,
+        options: OptionsLike = None,
     ):
         """Warm the affine shard's plan cache; returns the parent-side plan.
 
@@ -834,23 +656,12 @@ class ShardedExecutor(ExecutionBackend):
         will execute this circuit compiles it too, so the first `execute`
         replays instead of compiling.
         """
-        payload, digest = _circuit_payload(circuit)
-        width = _resolve_width(circuit, n_qubits)
-        shard = self.shard_for(digest)
-        self._run_on_shard(
-            shard, _warm_worker_plan, payload, digest, width, optimize,
-            batch_diagonals, chunk_threshold, precision,
-        )
         from ..simulator.plan_cache import get_plan_cache
 
-        plan, _ = get_plan_cache().lookup_or_compile(
-            circuit,
-            width,
-            optimize=optimize,
-            batch_diagonals=batch_diagonals,
-            chunk_threshold=chunk_threshold,
-            precision=precision,
-        )
+        width = _resolve_width(circuit, n_qubits)
+        request = ReplayRequest.for_circuit(circuit, width, options)
+        self._run_on_shard(self.shard_for(request.digest), _warm_worker_plan, request)
+        plan, _ = get_plan_cache().lookup_or_compile(circuit, width, request.options)
         return plan
 
     def execute(
@@ -861,10 +672,7 @@ class ShardedExecutor(ExecutionBackend):
         n_qubits: int | None = None,
         seed: int | None = None,
         params: Params = None,
-        optimize: bool = True,
-        batch_diagonals: bool = True,
-        chunk_threshold: int | None = None,
-        precision: str = DEFAULT_PRECISION,
+        options: OptionsLike = None,
         shard: int | None = None,
         trajectories: bool = False,
         retry_policy: RetryPolicy | None = None,
@@ -877,9 +685,7 @@ class ShardedExecutor(ExecutionBackend):
         worker replays the plan once) and shards only the shot work, so it
         pays off when shots/trajectories dominate — trajectory workloads,
         high shot counts, small-to-mid states.  For deep circuits at low
-        shot counts prefer key affinity, which evolves once on one shard;
-        evolving one large state cooperatively across shards needs shared
-        memory and is a ROADMAP follow-up.
+        shot counts prefer key affinity, which evolves once on one shard.
         ``trajectories=True`` forces one-simulation-per-shot replay even
         without mid-circuit resets (matching the engine's trajectory path
         RNG-draw for RNG-draw).  Results reduce deterministically: chunks
@@ -892,16 +698,16 @@ class ShardedExecutor(ExecutionBackend):
                 f"circuit {circuit.name!r} has unbound parameters; provide params"
             )
         token = active_cancel_token()
-        ctl: dict | None = None
-        if token is not None:
-            token.check()  # refuse to ship a job that is already dead
-            if token.deadline is not None:
-                # The deadline crosses the process boundary (wall clock);
-                # client-side cancels cannot — the parent stops awaiting
-                # instead, and the chunk completes harmlessly.
-                ctl = {"deadline": token.deadline}
-        payload, digest = _circuit_payload(circuit)
         width = _resolve_width(circuit, n_qubits)
+        base = ReplayRequest.for_circuit(
+            circuit,
+            width,
+            options,
+            params=params,
+            trajectories=trajectories,
+            obs=obs_request(),
+            deadline=_shipped_deadline(token),
+        )
         if shard is None:
             chunks = split_shots(shots, self.processes)
             indices = list(range(len(chunks)))
@@ -914,85 +720,43 @@ class ShardedExecutor(ExecutionBackend):
             indices = [shard]
         seeds = np.random.SeedSequence(seed).spawn(len(chunks))
         retries_before = self._retries
-
-        # Observability request shipped with every chunk: the ambient trace
-        # context (workers parent their spans to it) and whether a replay
-        # profiler is active here.  ``None`` — the common case — keeps the
-        # worker on its branch-free path.
-        tracer = get_tracer()
-        ctx = tracer.current_context()
-        profiler = active_profiler()
-        obs: dict | None = None
-        if ctx is not None or profiler is not None:
-            obs = {
-                "trace": ctx.to_wire() if ctx is not None else None,
-                "profile": profiler is not None,
-            }
-
         started = time.perf_counter()
-        if len(chunks) == 1:
-            outcomes = [
-                self._run_on_shard(
-                    indices[0],
-                    _replay_chunk,
-                    payload, digest, width, optimize, chunks[0], seeds[0], params,
-                    trajectories, batch_diagonals, chunk_threshold, precision,
-                    obs, ctl,
-                    policy=retry_policy,
-                )
-            ]
-        else:
-            outcomes = self._gather(
-                [
-                    (
-                        index,
-                        (
-                            payload, digest, width, optimize, chunk, seq, params,
-                            trajectories, batch_diagonals, chunk_threshold,
-                            precision, obs, ctl,
-                        ),
-                    )
-                    for index, chunk, seq in zip(indices, chunks, seeds)
-                ],
-                token,
-                policy=retry_policy,
-            )
+        outcomes = self._run_jobs(
+            [
+                (index, replace(base, shots=chunk, seed=seq))
+                for index, chunk, seq in zip(indices, chunks, seeds)
+            ],
+            token,
+            _replay_chunk,
+            retry_policy,
+        )
         elapsed = time.perf_counter() - started
-
-        # Stitch worker-side observations back into this process: spans join
-        # the parent trace (and any active capture sinks, for two-hop
-        # shipping) and per-kernel timings merge into the active profiler.
-        if obs is not None:
-            for outcome in outcomes:
-                payload_obs = outcome[4]
-                if not payload_obs:
-                    continue
-                spans = payload_obs.get("spans")
-                if spans:
-                    tracer.ingest(spans)
-                profile = payload_obs.get("profile")
-                if profiler is not None and profile:
-                    profiler.merge_wire(profile)
-
-        counts = merge_counts(outcome[0] for outcome in outcomes)
-        depth, n_gates = outcomes[0][1], outcomes[0][2]
-        plan_cached = all(outcome[3] for outcome in outcomes)
+        if base.obs is not None:
+            ingest_obs(outcome[4] for outcome in outcomes)
         return ExecutionResult(
-            counts=counts,
+            counts=merge_counts(outcome[0] for outcome in outcomes),
             shots=shots,
             n_qubits=width,
             backend=self.backend_name,
             seconds=elapsed,
             shards=len(chunks),
-            plan_cached=plan_cached,
-            depth=depth,
-            n_gates=n_gates,
+            plan_cached=all(outcome[3] for outcome in outcomes),
+            depth=outcomes[0][1],
+            n_gates=outcomes[0][2],
             retries=self._retries - retries_before,
         )
 
+    def _run_jobs(self, jobs, token, fn, policy: RetryPolicy | None) -> list[tuple]:
+        """Run ``fn(request)`` for every ``(shard, request)`` job: a single
+        job runs on its shard directly, several overlap via :meth:`_gather`."""
+        if len(jobs) == 1:
+            index, request = jobs[0]
+            return [self._run_on_shard(index, fn, request, policy=policy)]
+        return self._gather(jobs, token, fn=fn, policy=policy)
+
     def _gather(
         self,
-        jobs: list[tuple[int, tuple]],
+        jobs: list[tuple[int, ReplayRequest]],
         token=None,
         fn=_replay_chunk,
         policy: RetryPolicy | None = None,
@@ -1010,12 +774,12 @@ class ShardedExecutor(ExecutionBackend):
         default, sweep binding-ranges for ``execute_sweep``).
         """
         tracer = get_tracer()
-        entries: list[tuple[int, tuple, object, object]] = []
-        for index, args in jobs:
+        entries: list[tuple[int, ReplayRequest, object, object]] = []
+        for index, request in jobs:
             pool = self._pool(index)
             try:
                 entries.append(
-                    (index, args, pool, self._submit_tracked(index, pool, fn, *args))
+                    (index, request, pool, self._submit_tracked(index, pool, fn, request))
                 )
             except (BrokenProcessPool, EOFError, OSError) as exc:
                 tracer.record(
@@ -1027,11 +791,11 @@ class ShardedExecutor(ExecutionBackend):
                     error=f"shard worker died: {exc}",
                 )
                 self._replace_pool(index, pool)
-                entries.append((index, args, None, None))
+                entries.append((index, request, None, None))
         outcomes = []
-        for index, args, pool, future in entries:
+        for index, request, pool, future in entries:
             if future is None:
-                outcomes.append(self._run_on_shard(index, fn, *args, policy=policy))
+                outcomes.append(self._run_on_shard(index, fn, request, policy=policy))
                 continue
             try:
                 outcomes.append(self._await_result(future, token))
@@ -1045,7 +809,7 @@ class ShardedExecutor(ExecutionBackend):
                     error=f"shard worker died: {exc}",
                 )
                 self._replace_pool(index, pool)
-                outcomes.append(self._run_on_shard(index, fn, *args, policy=policy))
+                outcomes.append(self._run_on_shard(index, fn, request, policy=policy))
         return outcomes
 
     def execute_for_key(
@@ -1057,10 +821,7 @@ class ShardedExecutor(ExecutionBackend):
         n_qubits: int | None = None,
         seed: int | None = None,
         params: Params = None,
-        optimize: bool = True,
-        batch_diagonals: bool = True,
-        chunk_threshold: int | None = None,
-        precision: str = DEFAULT_PRECISION,
+        options: OptionsLike = None,
         retry_policy: RetryPolicy | None = None,
     ) -> ExecutionResult:
         """Affinity mode: the shard owning ``key`` runs the whole job, so
@@ -1073,10 +834,7 @@ class ShardedExecutor(ExecutionBackend):
             n_qubits=n_qubits,
             seed=seed,
             params=params,
-            optimize=optimize,
-            batch_diagonals=batch_diagonals,
-            chunk_threshold=chunk_threshold,
-            precision=precision,
+            options=options,
             shard=self._owner_for_key(key),
             retry_policy=retry_policy,
         )
@@ -1089,10 +847,7 @@ class ShardedExecutor(ExecutionBackend):
         *,
         n_qubits: int | None,
         seed: int | None,
-        optimize: bool,
-        batch_diagonals: bool,
-        chunk_threshold: int | None,
-        precision: str,
+        options: OptionsLike,
         observable,
         retry_policy: RetryPolicy | None,
     ) -> tuple[list, int, int, bool]:
@@ -1104,80 +859,41 @@ class ShardedExecutor(ExecutionBackend):
         list in binding order plus ``(depth, n_gates, all_cached)``.
         """
         token = active_cancel_token()
-        ctl: dict | None = None
-        if token is not None:
-            token.check()
-            if token.deadline is not None:
-                ctl = {"deadline": token.deadline}
-        payload, digest = _circuit_payload(circuit)
-        width = _resolve_width(circuit, n_qubits)
+        base = ReplayRequest.for_circuit(
+            circuit,
+            _resolve_width(circuit, n_qubits),
+            options,
+            shots=shots,
+            seed=seed,
+            observable=observable,
+            obs=obs_request(),
+            deadline=_shipped_deadline(token),
+        )
         bindings = list(bindings)
         if not bindings:
             return [], 0, 0, True
         n_chunks = max(1, min(self.processes, len(bindings)))
-        base, extra = divmod(len(bindings), n_chunks)
-        ranges: list[list] = []
+        base_size, extra = divmod(len(bindings), n_chunks)
+        ranges: list[tuple] = []
         cursor = 0
         for i in range(n_chunks):
-            size = base + (1 if i < extra else 0)
-            ranges.append(bindings[cursor : cursor + size])
+            size = base_size + (1 if i < extra else 0)
+            ranges.append(tuple(bindings[cursor : cursor + size]))
             cursor += size
         # Start the round-robin at the content-affine shard so a
         # single-range sweep lands exactly where key affinity would put it.
-        first = self.shard_for(digest)
-        indices = [(first + i) % self.processes for i in range(n_chunks)]
-
-        tracer = get_tracer()
-        ctx = tracer.current_context()
-        profiler = active_profiler()
-        obs: dict | None = None
-        if ctx is not None or profiler is not None:
-            obs = {
-                "trace": ctx.to_wire() if ctx is not None else None,
-                "profile": profiler is not None,
-            }
-
-        if n_chunks == 1:
-            outcomes = [
-                self._run_on_shard(
-                    indices[0],
-                    _sweep_chunk,
-                    payload, digest, width, optimize, ranges[0], shots, seed,
-                    batch_diagonals, chunk_threshold, precision, observable,
-                    obs, ctl,
-                    policy=retry_policy,
-                )
-            ]
-        else:
-            outcomes = self._gather(
-                [
-                    (
-                        index,
-                        (
-                            payload, digest, width, optimize, chunk, shots, seed,
-                            batch_diagonals, chunk_threshold, precision,
-                            observable, obs, ctl,
-                        ),
-                    )
-                    for index, chunk in zip(indices, ranges)
-                ],
-                token,
-                fn=_sweep_chunk,
-                policy=retry_policy,
-            )
-
-        if obs is not None:
-            for outcome in outcomes:
-                payload_obs = outcome[4]
-                if not payload_obs:
-                    continue
-                spans = payload_obs.get("spans")
-                if spans:
-                    tracer.ingest(spans)
-                profile = payload_obs.get("profile")
-                if profiler is not None and profile:
-                    profiler.merge_wire(profile)
-
+        first = self.shard_for(base.digest)
+        outcomes = self._run_jobs(
+            [
+                ((first + i) % self.processes, replace(base, bindings=chunk))
+                for i, chunk in enumerate(ranges)
+            ],
+            token,
+            _sweep_chunk,
+            retry_policy,
+        )
+        if base.obs is not None:
+            ingest_obs(outcome[4] for outcome in outcomes)
         flat = [pair for outcome in outcomes for pair in outcome[0]]
         depth, n_gates = outcomes[0][1], outcomes[0][2]
         cached = all(outcome[3] for outcome in outcomes)
@@ -1191,10 +907,7 @@ class ShardedExecutor(ExecutionBackend):
         *,
         n_qubits: int | None = None,
         seed: int | None = None,
-        optimize: bool = True,
-        batch_diagonals: bool = True,
-        chunk_threshold: int | None = None,
-        precision: str = DEFAULT_PRECISION,
+        options: OptionsLike = None,
         retry_policy: RetryPolicy | None = None,
     ) -> list[ExecutionResult]:
         """Compile-once sweep fanned across the shards.
@@ -1207,17 +920,13 @@ class ShardedExecutor(ExecutionBackend):
         """
         width = _resolve_width(circuit, n_qubits)
         retries_before = self._retries
-        started = time.perf_counter()
         flat, depth, n_gates, cached = self._sweep_dispatch(
             circuit,
             bindings,
             shots,
             n_qubits=n_qubits,
             seed=seed,
-            optimize=optimize,
-            batch_diagonals=batch_diagonals,
-            chunk_threshold=chunk_threshold,
-            precision=precision,
+            options=options,
             observable=None,
             retry_policy=retry_policy,
         )
@@ -1245,10 +954,7 @@ class ShardedExecutor(ExecutionBackend):
         bindings: Sequence[Mapping[str, float] | Sequence[float]],
         *,
         n_qubits: int | None = None,
-        optimize: bool = True,
-        batch_diagonals: bool = True,
-        chunk_threshold: int | None = None,
-        precision: str = DEFAULT_PRECISION,
+        options: OptionsLike = None,
         retry_policy: RetryPolicy | None = None,
     ) -> list[float]:
         """Exact per-binding expectations fanned across the shards.
@@ -1263,10 +969,7 @@ class ShardedExecutor(ExecutionBackend):
             0,
             n_qubits=n_qubits,
             seed=None,
-            optimize=optimize,
-            batch_diagonals=batch_diagonals,
-            chunk_threshold=chunk_threshold,
-            precision=precision,
+            options=options,
             observable=observable,
             retry_policy=retry_policy,
         )
@@ -1279,17 +982,17 @@ class ShardedExecutor(ExecutionBackend):
         *,
         n_qubits: int | None = None,
         params: Params = None,
-        optimize: bool = True,
-        batch_diagonals: bool = True,
-        chunk_threshold: int | None = None,
-        precision: str = DEFAULT_PRECISION,
+        options: OptionsLike = None,
     ) -> float:
-        payload, digest = _circuit_payload(circuit)
-        width = _resolve_width(circuit, n_qubits)
-        shard = self.shard_for(digest)
+        request = ReplayRequest.for_circuit(
+            circuit,
+            _resolve_width(circuit, n_qubits),
+            options,
+            params=params,
+            observable=observable,
+        )
         return self._run_on_shard(
-            shard, _chunk_expectation, payload, digest, width, optimize, params,
-            observable, batch_diagonals, chunk_threshold, precision,
+            self.shard_for(request.digest), _chunk_expectation, request
         )
 
     # -- introspection ------------------------------------------------------------

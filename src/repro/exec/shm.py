@@ -12,8 +12,9 @@ module provides the process-grade twin:
   ping-pong scratch), mapped as numpy views in the parent *and* in every
   worker — the state is evolved cooperatively with **zero copies** of
   amplitude data between processes.
-* The plan-replay driver ships each job as *(canonical circuit JSON,
-  content hash, compile options, binding)*; every worker compiles a
+* The parent-side replay ships each job as one
+  :class:`~repro.exec.request.ReplayRequest` *(canonical circuit JSON,
+  content hash, execution options, binding)*; every worker compiles a
   bitwise-identical plan into its own bounded cache (compile once per
   worker, replay forever) and rebuilds the same deterministic chunk
   decomposition PR 4 built for threads
@@ -44,7 +45,7 @@ import threading
 import time
 import traceback
 import weakref
-from collections import OrderedDict
+from dataclasses import replace
 from multiprocessing import get_context
 from multiprocessing.shared_memory import SharedMemory
 
@@ -52,19 +53,19 @@ import numpy as np
 
 from ..cancellation import active_cancel_token
 from ..exceptions import ExecutionError, WorkerCrashed
-from ..obs.profiler import ReplayProfiler, active_profiler
+from ..obs.profiler import ReplayProfiler
 from ..obs.trace import TraceContext, get_tracer
 from ..testing import faults
-from .retry import is_infrastructure_failure
 from ..simulator.execution_plan import (
     KERNEL_DENSE,
     KERNEL_GATHER,
     KERNEL_RESET,
     ExecutionPlan,
     _ChunkDense,
-    compile_parametric_plan,
-    compile_plan,
 )
+from .options import ExecutionOptions
+from .request import ReplayRequest, ingest_obs, obs_request
+from .retry import is_infrastructure_failure
 
 __all__ = [
     "SharedStatePool",
@@ -87,11 +88,6 @@ _POLL_INTERVAL = 0.05
 # picklable by reference under the spawn/forkserver start methods)
 # ---------------------------------------------------------------------------
 
-#: Per-process plan cache: (content hash, width, compile options) -> plan.
-_POOL_WORKER_PLANS: "OrderedDict[tuple, object]" = OrderedDict()
-_POOL_WORKER_PLAN_CAPACITY = 64
-
-
 def _attach_segment(name: str) -> SharedMemory:
     """Attach to a parent-owned segment without confusing the tracker.
 
@@ -109,50 +105,18 @@ def _attach_segment(name: str) -> SharedMemory:
         return SharedMemory(name=name)
 
 
-def _worker_plan_for_job(job: dict):
+def _worker_plan_for_job(request: ReplayRequest):
     """Compile-once lookup inside a pool worker (mirrors the shard workers).
 
     The worker compiles from the shipped canonical JSON with the *same*
-    compile options the parent used, so its plan — and therefore its chunk
-    decomposition and its per-chunk arithmetic — is bitwise identical to
-    the parent's.  Parametric circuits compile once and rebind per job.
+    execution options the parent compiled with, so its plan — and
+    therefore its chunk decomposition and its per-chunk arithmetic — is
+    bitwise identical to the parent's.  Parametric circuits compile once
+    and rebind per job.
     """
-    from ..ir.serialization import circuit_from_json
-
-    options = job["options"]
-    precision = options.get("precision", "double")
-    key = (
-        job["digest"],
-        job["width"],
-        options["optimize"],
-        options["fusion_max_qubits"],
-        options["batch_diagonals"],
-        options["chunk_threshold"],
-        precision,
-    )
-    plan = _POOL_WORKER_PLANS.get(key)
-    if plan is None:
-        faults.fire("shm.worker.compile")
-        circuit = circuit_from_json(job["payload"])
-        compiler = (
-            compile_parametric_plan if circuit.is_parameterized else compile_plan
-        )
-        plan = compiler(
-            circuit,
-            job["width"],
-            optimize=options["optimize"],
-            fusion_max_qubits=options["fusion_max_qubits"],
-            batch_diagonals=options["batch_diagonals"],
-            chunk_threshold=options["chunk_threshold"],
-            precision=precision,
-        )
-        _POOL_WORKER_PLANS[key] = plan
-        while len(_POOL_WORKER_PLANS) > _POOL_WORKER_PLAN_CAPACITY:
-            _POOL_WORKER_PLANS.popitem(last=False)
-    else:
-        _POOL_WORKER_PLANS.move_to_end(key)
+    plan, _ = request.plan("shm.worker.compile")
     if plan.is_parametric:
-        plan = plan.bind(job["params"])
+        plan = plan.bind(request.params)
     return plan
 
 
@@ -235,7 +199,7 @@ def _run_step_shm(plan, step, spec, cur, spare, shape, index, workers, barrier,
 
 
 def _worker_replay(
-    job: dict, segments: dict, index: int, workers: int, barrier
+    request: ReplayRequest, segments: dict, index: int, workers: int, barrier
 ) -> tuple[bool, dict | None, bool]:
     """One worker's full replay; returns
     ``(final_in_state, obs_payload, aborted)``.
@@ -250,13 +214,11 @@ def _worker_replay(
     discard, and this worker is still healthy.
     """
     faults.fire("shm.worker.replay")
-    plan = _worker_plan_for_job(job)
+    plan = _worker_plan_for_job(request)
     dim = 1 << plan.n_qubits
     # Attach (and memoise) the parent's segments; drop stale ones when the
     # parent grew its buffers under new names.
-    names = tuple(
-        n for n in (job["state"], job["scratch"], job.get("control")) if n
-    )
+    names = tuple(n for n in (request.state, request.scratch, request.control) if n)
     for stale in [n for n in segments if n not in names]:
         try:
             segments.pop(stale).close()
@@ -265,8 +227,8 @@ def _worker_replay(
     for name in names:
         if name not in segments:
             segments[name] = _attach_segment(name)
-    cur = np.ndarray(dim, dtype=plan.dtype, buffer=segments[job["state"]].buf)
-    spare = np.ndarray(dim, dtype=plan.dtype, buffer=segments[job["scratch"]].buf)
+    cur = np.ndarray(dim, dtype=plan.dtype, buffer=segments[request.state].buf)
+    spare = np.ndarray(dim, dtype=plan.dtype, buffer=segments[request.scratch].buf)
     state_buffer = cur
     shape = (2,) * plan.n_qubits
     program = plan.chunk_program(workers)
@@ -276,14 +238,11 @@ def _worker_replay(
     # *after*, so all workers abort at the same step — independent clock or
     # flag reads could diverge by one step and deadlock the step barrier.
     guard = None
-    deadline = None
-    if job.get("control"):
-        guard = np.ndarray(
-            2, dtype=np.uint8, buffer=segments[job["control"]].buf
-        )
-        deadline = job.get("deadline")
+    deadline = request.deadline
+    if request.control:
+        guard = np.ndarray(2, dtype=np.uint8, buffer=segments[request.control].buf)
 
-    obs_req = job.get("obs") or {}
+    obs_req = request.obs or {}
     parent_ctx = TraceContext.from_wire(obs_req.get("trace"))
     want_profile = bool(obs_req.get("profile"))
     # Tracing needs the barrier timings too (for the barrier-wait span), so
@@ -862,21 +821,18 @@ class SharedStatePool:
         self, plan: ExecutionPlan, data: np.ndarray, rng, token
     ) -> np.ndarray | None:
         circuit, options, params = plan.replay_descriptor()
-        from .sharded import _circuit_payload
-
-        payload, digest = _circuit_payload(circuit)
-        # Observability request: the ambient trace context (so worker spans
-        # stitch under the caller's replay span) and the profile flag.  Both
-        # read here, before acquiring a gang, on the caller's thread.
+        # The caller's observability request (so worker spans stitch under
+        # its replay span), read here on the caller's thread before
+        # acquiring a gang.
+        request = ReplayRequest.for_circuit(
+            circuit,
+            plan.n_qubits,
+            ExecutionOptions(**options),
+            params=params,
+            obs=obs_request(),
+        )
         tracer = get_tracer()
         ctx = tracer.current_context()
-        profiler = active_profiler()
-        obs_req = None
-        if ctx is not None or profiler is not None:
-            obs_req = {
-                "trace": ctx.to_wire() if ctx is not None else None,
-                "profile": profiler is not None,
-            }
         replay_started = time.time()
         dim = int(data.size)
         nbytes = dim * data.dtype.itemsize
@@ -907,20 +863,10 @@ class SharedStatePool:
                     ) from exc
                 state = np.ndarray(dim, dtype=data.dtype, buffer=gang.state.buf)
                 np.copyto(state, data)
-                job = {
-                    "payload": payload,
-                    "digest": digest,
-                    "width": plan.n_qubits,
-                    "options": options,
-                    "params": params,
-                    "state": gang.state.name,
-                    "scratch": gang.scratch.name,
-                    "obs": obs_req,
-                }
+                job = replace(request, state=gang.state.name, scratch=gang.scratch.name)
                 if control is not None:
                     np.ndarray(2, dtype=np.uint8, buffer=control.buf)[:] = 0
-                    job["control"] = control.name
-                    job["deadline"] = token.deadline
+                    job = replace(job, control=control.name, deadline=token.deadline)
                 try:
                     for _, conn in gang.workers:
                         conn.send(("replay", job))
@@ -950,18 +896,9 @@ class SharedStatePool:
                 error=str(exc),
             )
             raise
-        # Stitch the workers' observability data after release: spans go
-        # into this process's tracer (and any active capture sink, so a
-        # shard worker re-ships them another hop), profiles into the
-        # installed profiler.
-        for obs_payload in obs_payloads:
-            if not obs_payload:
-                continue
-            spans = obs_payload.get("spans")
-            if spans:
-                tracer.ingest(spans)
-            if profiler is not None:
-                profiler.merge_wire(obs_payload.get("profile"))
+        # Stitch the workers' observability data after release (a shard
+        # worker's capture sink re-ships the spans another hop).
+        ingest_obs(obs_payloads)
         return data
 
     # -- internals ------------------------------------------------------------

@@ -38,8 +38,8 @@ from ..ir.composite import CompositeInstruction
 from ..ir.transforms.clifford import CliffordClassification, classify_clifford
 from ..obs.trace import get_tracer
 from ..testing import faults
-from ..simulator.execution_plan import DEFAULT_PRECISION
 from .backend import ExecutionBackend, Params, _resolve_width
+from .options import OptionsLike
 from .result import ExecutionResult
 
 __all__ = ["StabilizerTableau", "StabilizerBackend", "estimate_tableau_bytes"]
@@ -359,9 +359,9 @@ class StabilizerBackend(ExecutionBackend):
     :func:`classify_clifford` first, so reaching this error means an
     explicit ``method: "stabilizer"`` request on an ineligible circuit.
 
-    ``precision`` is accepted for protocol uniformity and ignored — the
-    tableau is exact over GF(2) at every tier, so the knob cannot change
-    the sampling law here.
+    ``options`` are accepted for protocol uniformity and ignored — the
+    tableau is exact over GF(2) at every precision tier and has no plan
+    form, so no execution option can change the sampling law here.
     """
 
     backend_name = "stabilizer"
@@ -371,10 +371,7 @@ class StabilizerBackend(ExecutionBackend):
         circuit: CompositeInstruction,
         n_qubits: int | None = None,
         *,
-        optimize: bool = True,
-        batch_diagonals: bool = True,
-        chunk_threshold: int | None = None,
-        precision: str = DEFAULT_PRECISION,
+        options: OptionsLike = None,
     ) -> CliffordClassification:
         return classify_clifford(circuit)
 
@@ -422,10 +419,7 @@ class StabilizerBackend(ExecutionBackend):
         n_qubits: int | None = None,
         seed: int | None = None,
         params: Params = None,
-        optimize: bool = True,
-        batch_diagonals: bool = True,
-        chunk_threshold: int | None = None,
-        precision: str = DEFAULT_PRECISION,
+        options: OptionsLike = None,
     ) -> ExecutionResult:
         tracer = get_tracer()
         token = active_cancel_token()
@@ -476,10 +470,7 @@ class StabilizerBackend(ExecutionBackend):
         *,
         n_qubits: int | None = None,
         params: Params = None,
-        optimize: bool = True,
-        batch_diagonals: bool = True,
-        chunk_threshold: int | None = None,
-        precision: str = DEFAULT_PRECISION,
+        options: OptionsLike = None,
     ) -> float:
         from ..operators.pauli import PauliOperator, PauliTerm
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from ..exceptions import AcceleratorError
+from ..exec.options import ExecutionOptions
 from ..ir.composite import CompositeInstruction
 from .buffer import AcceleratorBuffer
 
@@ -37,12 +38,12 @@ class Cloneable:
         """Return a fresh instance configured like this one.
 
         The default implementation re-constructs the type with no arguments
-        and copies the ``options`` mapping if present; services with richer
-        state override this.
+        and shares the (immutable) ``options`` value if present; services
+        with richer state override this.
         """
         clone = type(self)()
         if hasattr(self, "options") and hasattr(clone, "options"):
-            clone.options.update(self.options)  # type: ignore[attr-defined]
+            clone.options = self.options  # type: ignore[attr-defined]
         return clone
 
 
@@ -51,14 +52,16 @@ class Accelerator:
 
     Concrete backends provide :meth:`execute`; the base class implements
     option handling, batched execution and introspection shared by all of
-    them.
+    them.  Options arrive as an XACC-style kebab-case mapping and are
+    parsed once into an immutable :class:`~repro.exec.options.ExecutionOptions`
+    (unknown keys raise :class:`~repro.exceptions.ExecutionError`).
     """
 
     #: Registry name of the backend (e.g. ``"qpp"``).
     backend_name = "abstract"
 
-    def __init__(self, options: Mapping[str, object] | None = None):
-        self.options: dict[str, object] = dict(options or {})
+    def __init__(self, options: ExecutionOptions | Mapping[str, object] | None = None):
+        self.options = ExecutionOptions.parse(options)
         self._initialized = False
 
     # -- lifecycle ----------------------------------------------------------------
@@ -70,9 +73,11 @@ class Accelerator:
             self.update_configuration(options)
         self._initialized = True
 
-    def update_configuration(self, options: Mapping[str, object]) -> None:
+    def update_configuration(
+        self, options: ExecutionOptions | Mapping[str, object]
+    ) -> None:
         """Update backend options after initialisation (XACC's ``updateConfiguration``)."""
-        self.options.update(options)
+        self.options = self.options.merged(options)
 
     @property
     def is_initialized(self) -> bool:
@@ -134,7 +139,7 @@ class Accelerator:
     def _resolve_shots(self, shots: int | None) -> int:
         from ..config import get_config
 
-        value = shots if shots is not None else int(self.options.get("shots", 0)) or get_config().shots
+        value = shots if shots is not None else self.options.shots or get_config().shots
         if value <= 0:
             raise AcceleratorError(f"shots must be positive, got {value}")
         return value

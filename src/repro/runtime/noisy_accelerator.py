@@ -17,6 +17,7 @@ from typing import Mapping
 from ..config import get_config
 from ..exceptions import AcceleratorError
 from ..exec.backend import DensityBackend
+from ..exec.options import ExecutionOptions
 from ..ir.composite import CompositeInstruction
 from ..simulator.noise import NoiseModel, depolarizing_channel
 from .accelerator import Accelerator, Cloneable
@@ -32,12 +33,12 @@ class NoisyAccelerator(Accelerator, Cloneable):
 
     def __init__(
         self,
-        options: Mapping[str, object] | None = None,
+        options: ExecutionOptions | Mapping[str, object] | None = None,
         noise_model: NoiseModel | None = None,
     ):
         super().__init__(options)
         if noise_model is None:
-            probability = float(self.options.get("depolarizing-probability", 0.0) or 0.0)
+            probability = self.options.depolarizing_probability
             noise_model = NoiseModel()
             if probability > 0.0:
                 noise_model.default_single_qubit = depolarizing_channel(probability)
@@ -46,7 +47,7 @@ class NoisyAccelerator(Accelerator, Cloneable):
         self._backend = DensityBackend(noise_model=self.noise_model)
 
     def clone(self) -> "NoisyAccelerator":
-        return NoisyAccelerator(dict(self.options), self.noise_model)
+        return NoisyAccelerator(self.options, self.noise_model)
 
     @property
     def supports_noise(self) -> bool:
@@ -72,8 +73,7 @@ class NoisyAccelerator(Accelerator, Cloneable):
             shots,
             n_qubits=buffer.size,
             seed=get_config().seed,
-            # Semantic (job-key) option: "single" evolves in complex64.
-            precision=str(self.options.get("precision", "double")),
+            options=self.options,
         )
 
         for bitstring, count in result.counts.items():

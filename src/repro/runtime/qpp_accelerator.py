@@ -25,23 +25,19 @@ refactor it is a *thin adapter* over the unified
 
 Circuits containing mid-circuit ``RESET`` instructions fall back to
 trajectory simulation (one plan replay per shot), distributed the same way.
-Setting the ``use-plans`` option to ``False`` restores the historical
-gate-by-gate dispatch (useful for A/B benchmarks); ``optimize=False`` skips
-the IR pass pipeline in both modes.
+``optimize=False`` skips the IR pass pipeline.  Options are parsed once into
+an :class:`~repro.exec.options.ExecutionOptions`; an unknown key raises
+:class:`~repro.exceptions.ExecutionError` at construction or
+``update_configuration``.
 """
 
 from __future__ import annotations
-
-import time
-from typing import Mapping
 
 from ..config import get_config
 from ..exceptions import AcceleratorError
 from ..exec.backend import ExecutionBackend, LocalBackend
 from ..ir.composite import CompositeInstruction
-from ..ir.transforms import default_pass_manager
 from ..simulator.parallel_engine import ParallelSimulationEngine
-from ..simulator.statevector import StateVector
 from .accelerator import Accelerator, Cloneable
 from .buffer import AcceleratorBuffer
 
@@ -53,27 +49,19 @@ class QppAccelerator(Accelerator, Cloneable):
 
     backend_name = "qpp"
 
-    def __init__(self, options: Mapping[str, object] | None = None):
+    def __init__(self, options=None):
         super().__init__(options)
-        self._engine = ParallelSimulationEngine(
-            num_threads=self._option_int("threads", default=None)
-        )
+        self._engine = ParallelSimulationEngine(num_threads=self.options.threads)
         self._local_backend = LocalBackend(engine=self._engine)
 
     # -- configuration -----------------------------------------------------------
-    def _option_int(self, key: str, default: int | None) -> int | None:
-        value = self.options.get(key, default)
-        if value is None:
-            return None
-        return int(value)  # type: ignore[arg-type]
-
-    def update_configuration(self, options: Mapping[str, object]) -> None:
+    def update_configuration(self, options) -> None:
         super().update_configuration(options)
-        if "threads" in options:
-            self._engine.num_threads = int(options["threads"])  # type: ignore[arg-type]
+        if self.options.threads is not None:
+            self._engine.num_threads = self.options.threads
 
     def clone(self) -> "QppAccelerator":
-        return QppAccelerator(dict(self.options))
+        return QppAccelerator(self.options)
 
     @property
     def num_threads(self) -> int:
@@ -83,20 +71,17 @@ class QppAccelerator(Accelerator, Cloneable):
     @property
     def num_processes(self) -> int:
         """Process shards requested via the ``processes`` option (0 = off)."""
-        value = self._option_int("processes", default=0) or 0
-        return value if value > 1 else 0
+        return self.options.processes if self.options.processes > 1 else 0
 
     @property
     def num_shm_processes(self) -> int:
         """Shared-memory replay workers via ``shm-processes`` (0 = off)."""
-        value = self._option_int("shm-processes", default=0) or 0
-        return value if value > 1 else 0
+        return self.options.shm_processes if self.options.shm_processes > 1 else 0
 
     @property
     def num_shm_states(self) -> int:
         """Resident shm states via ``shm-states`` (1 = single-state pool)."""
-        value = self._option_int("shm-states", default=1) or 1
-        return max(1, value)
+        return max(1, self.options.shm_states)
 
     def execution_backend(self) -> ExecutionBackend:
         """The :class:`ExecutionBackend` this clone currently dispatches to.
@@ -115,15 +100,14 @@ class QppAccelerator(Accelerator, Cloneable):
         if shm:
             from ..exec.shm import get_shared_state_pool
 
-            budget = self._option_int("memory-budget-bytes", default=None)
             self._local_backend.shm_pool = get_shared_state_pool(
-                shm, self.num_shm_states, byte_budget=budget
+                shm, self.num_shm_states, byte_budget=self.options.memory_budget_bytes
             )
         else:
             self._local_backend.shm_pool = None
         # Opt-in measured lane routing: consult the calibrated cost model
         # per plan instead of the fixed shm-if-available policy.
-        self._local_backend.adaptive = bool(self.options.get("adaptive-lane", False))
+        self._local_backend.adaptive = self.options.adaptive_lane
         return self._local_backend
 
     # -- execution ------------------------------------------------------------------
@@ -138,13 +122,7 @@ class QppAccelerator(Accelerator, Cloneable):
         # Clifford routing is the job broker's decision (it sizes admission
         # and skips the shard lane accordingly).  "stabilizer" is the direct
         # tableau path for callers driving the accelerator without a broker.
-        method = str(self.options.get("method", "auto")).strip().lower()
-        if method not in ("auto", "statevector", "stabilizer"):
-            raise AcceleratorError(
-                f"unknown simulation method {self.options.get('method')!r}; "
-                f"expected 'auto', 'statevector' or 'stabilizer'"
-            )
-        if method == "stabilizer":
+        if self.options.method == "stabilizer":
             return self._execute_stabilizer(buffer, circuit, shots)
         self._check_size(buffer, circuit)
         if circuit.is_parameterized:
@@ -153,53 +131,27 @@ class QppAccelerator(Accelerator, Cloneable):
                 f"{sorted(p.name for p in circuit.free_parameters)}"
             )
         shots = self._resolve_shots(shots)
-        seed = get_config().seed
-        optimize = bool(self.options.get("optimize", True))
-        use_plans = bool(self.options.get("use-plans", True))
-        # Plan-replay tuning knobs (performance only — neither changes the
-        # measurement distribution; both are non-semantic job-key options).
-        batch_diagonals = bool(self.options.get("batch-diagonals", True))
-        chunk_threshold = self._option_int("chunk-threshold", default=None)
-        # Precision is *semantic*: complex64 replay changes the sampled
-        # distribution within the documented fidelity bound, so it
-        # participates in job keys and cache identity.
-        precision = str(self.options.get("precision", "double"))
-
-        if use_plans:
-            result = self.execution_backend().execute(
-                circuit,
-                shots,
-                n_qubits=buffer.size,
-                seed=seed,
-                optimize=optimize,
-                batch_diagonals=batch_diagonals,
-                chunk_threshold=chunk_threshold,
-                precision=precision,
-            )
-            counts = result.counts
-            information = {
+        result = self.execution_backend().execute(
+            circuit,
+            shots,
+            n_qubits=buffer.size,
+            seed=get_config().seed,
+            options=self.options,
+        )
+        for bitstring, count in result.counts.items():
+            buffer.add_measurement(bitstring, count)
+        buffer.information.update(
+            {
+                "backend": self.name(),
+                "shots": shots,
+                "threads": self.num_threads,
                 "execution-time-seconds": result.seconds,
                 "circuit-depth": result.depth,
                 "circuit-gates": result.n_gates,
                 "plan-cached": result.plan_cached,
                 "processes": result.shards if result.shards > 1 else 0,
             }
-        else:
-            if precision not in ("double", "complex128", "fp64"):
-                raise AcceleratorError(
-                    "the gate-by-gate path (use-plans=False) evolves in "
-                    f"complex128 only; got precision={precision!r}"
-                )
-            counts, information = self._execute_gate_by_gate(
-                buffer, circuit, shots, seed, optimize
-            )
-
-        for bitstring, count in counts.items():
-            buffer.add_measurement(bitstring, count)
-        buffer.information.update(
-            {"backend": self.name(), "shots": shots, "threads": self.num_threads}
         )
-        buffer.information.update(information)
         return buffer
 
     def _execute_stabilizer(
@@ -242,36 +194,3 @@ class QppAccelerator(Accelerator, Cloneable):
             }
         )
         return buffer
-
-    def _execute_gate_by_gate(
-        self,
-        buffer: AcceleratorBuffer,
-        circuit: CompositeInstruction,
-        shots: int,
-        seed: int | None,
-        optimize: bool,
-    ) -> tuple[dict[str, int], dict[str, object]]:
-        """The historical pre-plan path, kept verbatim for A/B benchmarks."""
-        started = time.perf_counter()
-        if optimize:
-            circuit = default_pass_manager().run(circuit)
-        has_reset = any(inst.name == "RESET" for inst in circuit)
-        measured = circuit.measured_qubits()
-        if has_reset:
-            counts = self._engine.run_trajectories(buffer.size, circuit, shots, seed=seed)
-        else:
-            state = StateVector(buffer.size)
-            for instruction in circuit:
-                if instruction.is_measurement:
-                    continue
-                state.apply(instruction)
-            target_qubits = measured or tuple(range(buffer.size))
-            counts = self._engine.sample_parallel(state, shots, target_qubits, seed=seed)
-        elapsed = time.perf_counter() - started
-        return counts, {
-            "execution-time-seconds": elapsed,
-            "circuit-depth": circuit.depth(),
-            "circuit-gates": circuit.n_gates,
-            "plan-cached": False,
-            "processes": 0,
-        }

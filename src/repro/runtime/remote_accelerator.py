@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from ..exceptions import AcceleratorError, ExecutionError
+from ..exec.options import ExecutionOptions
 from ..ir.composite import CompositeInstruction
 from ..ir.serialization import circuit_from_json, circuit_to_json
 from .accelerator import Accelerator, Cloneable
@@ -54,10 +55,10 @@ class RemoteAccelerator(Accelerator, Cloneable):
 
     backend_name = "remote-qpp"
 
-    def __init__(self, options: Mapping[str, object] | None = None):
+    def __init__(self, options: ExecutionOptions | Mapping[str, object] | None = None):
         super().__init__(options)
-        self.latency_seconds = float(self.options.get("latency-seconds", 0.01) or 0.0)
-        self._local = QppAccelerator(dict(self.options))
+        self.latency_seconds = self.options.latency_seconds
+        self._local = QppAccelerator(self.options)
         self._queue: "queue.Queue[tuple[RemoteJob, str, int] | None]" = queue.Queue()
         self._job_counter = 0
         self._counter_lock = threading.Lock()
@@ -65,7 +66,7 @@ class RemoteAccelerator(Accelerator, Cloneable):
         self._worker.start()
 
     def clone(self) -> "RemoteAccelerator":
-        return RemoteAccelerator(dict(self.options))
+        return RemoteAccelerator(self.options)
 
     @property
     def is_remote(self) -> bool:

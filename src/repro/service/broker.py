@@ -59,13 +59,14 @@ from ..exceptions import (
     ServiceNotFoundError,
     ServiceOverloadedError,
 )
+from ..exec.options import ExecutionOptions
 from ..exec.retry import RetryPolicy, is_infrastructure_failure
 from ..ir.composite import CompositeInstruction
 from ..ir.transforms.clifford import classify_clifford
 from ..obs.trace import get_tracer
 from ..runtime.accelerator import Accelerator
 from ..runtime.buffer import AcceleratorBuffer
-from ..simulator.cost_model import SIMULATION_METHODS, SimulationCostModel
+from ..simulator.cost_model import SimulationCostModel
 from .admission import AdmissionController, estimate_job_bytes
 from .batching import BatchingJobQueue, PendingBatch
 from .breaker import CircuitBreaker
@@ -103,7 +104,7 @@ class QuantumJobService:
         max_pending: int = 64,
         cache_capacity: int = 256,
         enable_cache: bool = True,
-        backend_options: Mapping[str, object] | None = None,
+        backend_options: ExecutionOptions | Mapping[str, object] | None = None,
         name: str = "job-broker",
         auto_start: bool = True,
         processes: int = 0,
@@ -137,30 +138,12 @@ class QuantumJobService:
                 f"no accelerator {self.backend!r} registered; "
                 f"known: {get_registry().registered_names('accelerator')}"
             )
-        self.backend_options = dict(backend_options or {})
-        # Lifecycle knobs may also arrive through backend_options (their
-        # kebab-case names are declared non-semantic in keys.py, so they
-        # never fragment the result cache); explicit arguments win.
+        #: The backend options, parsed once (unknown keys raise here, not in
+        #: a dispatcher thread where clients would only see timeouts); every
+        #: dispatcher clone, job spec and execution lane carries this value.
+        self.options = ExecutionOptions.parse(backend_options)
         if memory_budget_bytes is None:
-            raw_budget = self.backend_options.get("memory-budget-bytes")
-            memory_budget_bytes = None if raw_budget is None else int(raw_budget)  # type: ignore[arg-type]
-        raw_wait = self.backend_options.get("admission-wait-seconds")
-        if raw_wait is not None:
-            admission_wait_seconds = float(raw_wait)  # type: ignore[arg-type]
-        raw_threshold = self.backend_options.get("breaker-failure-threshold")
-        if raw_threshold is not None:
-            breaker_failure_threshold = int(raw_threshold)  # type: ignore[arg-type]
-        raw_cooldown = self.backend_options.get("breaker-cooldown-seconds")
-        if raw_cooldown is not None:
-            breaker_cooldown_seconds = float(raw_cooldown)  # type: ignore[arg-type]
-        if retry_policy is None:
-            raw_attempts = self.backend_options.get("retry-max-attempts")
-            if raw_attempts is not None:
-                retry_policy = RetryPolicy(
-                    max_attempts=int(raw_attempts),  # type: ignore[arg-type]
-                    base_delay=0.01,
-                    max_delay=0.5,
-                )
+            memory_budget_bytes = self.options.memory_budget_bytes
         #: Process shards (0/1 = classic in-process dispatch).
         self.processes = int(processes or 0)
         self._sharded = None
@@ -170,23 +153,16 @@ class QuantumJobService:
                     f"process sharding replays compiled plans and requires the "
                     f"'qpp' backend, got {self.backend!r}"
                 )
-            if not bool(self.backend_options.get("use-plans", True)):
-                # Plan replay is the only form shards execute; forking
-                # workers that could never be used would be pure waste.
-                raise ExecutionError(
-                    "process sharding requires plan execution; drop "
-                    "processes= or remove 'use-plans': False"
-                )
             from ..exec.sharded import ShardedExecutor
 
             # "shm-processes" lets each shard borrow a shared-memory pool
             # for super-threshold single-state replays (the ≥20-qubit lane);
             # in in-process mode the same option flows to the accelerator
-            # clones through backend_options instead.
+            # clones instead.
             self._sharded = ShardedExecutor(
                 self.processes,
                 name=f"{name}-shard",
-                shm_processes=int(self.backend_options.get("shm-processes", 0) or 0),
+                shm_processes=self.options.shm_processes,
                 retry_policy=retry_policy,
             )
         self._queue = BatchingJobQueue(max_pending=max_pending)
@@ -199,7 +175,7 @@ class QuantumJobService:
             self._process_batch,
             workers=workers,
             backend=self.backend,
-            backend_options=self.backend_options,
+            options=self.options,
             name=name,
             on_init_failure=self._worker_init_failed,
         )
@@ -239,7 +215,7 @@ class QuantumJobService:
         )
         self._shm_fallback_engine = None
         self._shm_pool = None
-        shm_workers = int(self.backend_options.get("shm-processes", 0) or 0)
+        shm_workers = self.options.shm_processes
         if self._sharded is None and shm_workers > 1:
             from ..exec.shm import get_shared_state_pool
             from ..simulator.parallel_engine import ParallelSimulationEngine
@@ -249,24 +225,12 @@ class QuantumJobService:
             pool.breaker = self._shm_breaker
             pool.fallback = self._shm_fallback_engine
             self._shm_pool = pool
-        #: Precision tier every execution this broker dispatches runs at
-        #: ("double" = complex128, "single" = complex64).  Semantic: it is
-        #: part of the job key, so cached and freshly executed histograms
-        #: always agree on it.
-        self.precision = str(self.backend_options.get("precision", "double"))
-        #: Simulation-method routing policy: ``auto`` lets the Clifford
-        #: classifier steer eligible jobs onto the stabilizer tableau,
-        #: ``statevector`` is the documented opt-out (always dense), and
-        #: ``stabilizer`` forces the tableau (non-Clifford jobs then fail
-        #: with the classifier's obstruction).  Validated here so a typo
-        #: fails at construction, not in a dispatcher thread.
-        self.method = str(self.backend_options.get("method", "auto")).strip().lower()
-        if self.method not in SIMULATION_METHODS:
-            raise ExecutionError(
-                f"unknown simulation method {self.backend_options.get('method')!r}; "
-                f"expected one of {SIMULATION_METHODS}"
-            )
-        if self.method == "stabilizer" and self.backend != "qpp":
+        # Simulation-method routing policy: ``auto`` lets the Clifford
+        # classifier steer eligible jobs onto the stabilizer tableau,
+        # ``statevector`` is the documented opt-out (always dense), and
+        # ``stabilizer`` forces the tableau (non-Clifford jobs then fail
+        # with the classifier's obstruction).
+        if self.options.method == "stabilizer" and self.backend != "qpp":
             raise ExecutionError(
                 f"the stabilizer method routes within the 'qpp' backend's "
                 f"dispatch path, got backend {self.backend!r}"
@@ -439,11 +403,8 @@ class QuantumJobService:
         resolved_shots = shots if shots is not None else get_config().shots
         deadline = self._tenant_deadline(tenant, deadline)
         canon = [canonical_binding(b) for b in bindings]
-        skey = sweep_key(circuit, self.backend, self.backend_options, bindings)
-        bkeys = [
-            binding_key(circuit, self.backend, self.backend_options, b)
-            for b in bindings
-        ]
+        skey = sweep_key(circuit, self.backend, self.options, bindings)
+        bkeys = [binding_key(circuit, self.backend, self.options, b) for b in bindings]
         tokens = [CancelToken(timeout=deadline) for _ in bindings]
         handle = SweepHandle(skey, canon, bkeys, resolved_shots, self.backend, tokens)
         handle._service_alive = self._can_resolve
@@ -531,7 +492,7 @@ class QuantumJobService:
                 shots=resolved_shots,
                 n_qubits=max(circuit.n_qubits, 1),
                 priority=JobPriority(priority),
-                options=self.backend_options,
+                options=self.options,
                 deadline=tokens[indices[0]].deadline,
                 sweep=_SweepChunk(handle, indices),
                 tenant=tenant,
@@ -581,26 +542,18 @@ class QuantumJobService:
         bindings = list(bindings)
         if not bindings:
             raise ExecutionError("expectations needs at least one binding")
-        chunk_threshold = self.backend_options.get("chunk-threshold")
-        kwargs = dict(
-            n_qubits=max(circuit.n_qubits, 1),
-            optimize=bool(self.backend_options.get("optimize", True)),
-            batch_diagonals=bool(self.backend_options.get("batch-diagonals", True)),
-            chunk_threshold=(
-                None if chunk_threshold is None else int(chunk_threshold)  # type: ignore[arg-type]
-            ),
-            precision=self.precision,
-        )
+        n_qubits = max(circuit.n_qubits, 1)
         if self._sharded is not None:
             return self._sharded.expectation_sweep(
                 circuit,
                 observable,
                 bindings,
+                n_qubits=n_qubits,
+                options=self.options,
                 retry_policy=self._tenant_retry_policy(tenant),
-                **kwargs,
             )
         return self._sync_backend().expectation_sweep(
-            circuit, observable, bindings, **kwargs
+            circuit, observable, bindings, n_qubits=n_qubits, options=self.options
         )
 
     def gradient(
@@ -650,9 +603,7 @@ class QuantumJobService:
             if qpu is None:
                 from ..runtime.service_registry import get_registry
 
-                qpu = get_registry().get_accelerator(
-                    self.backend, self.backend_options
-                )
+                qpu = get_registry().get_accelerator(self.backend, self.options)
                 self._sync_qpu = qpu
         backend_factory = getattr(qpu, "execution_backend", None)
         if backend_factory is None:
@@ -712,8 +663,7 @@ class QuantumJobService:
             defaults = self._tenant_defaults.get(tenant)
             if defaults is not None and defaults.get("deadline") is not None:
                 return float(defaults["deadline"])  # type: ignore[arg-type]
-        raw_deadline = self.backend_options.get("deadline-seconds")
-        return None if raw_deadline is None else float(raw_deadline)  # type: ignore[arg-type]
+        return self.options.deadline_seconds
 
     def _tenant_retry_policy(self, tenant: str | None) -> RetryPolicy | None:
         """The tenant's default retry policy (``None`` = service-wide policy)."""
@@ -755,13 +705,13 @@ class QuantumJobService:
         deadline = self._tenant_deadline(tenant, deadline)
         token = CancelToken(timeout=deadline)
         spec = JobSpec(
-            key=job_key(circuit, self.backend, self.backend_options),
+            key=job_key(circuit, self.backend, self.options),
             circuit=circuit,
             backend=self.backend,
             shots=resolved_shots,
             n_qubits=max(circuit.n_qubits, 1),
             priority=JobPriority(priority),
-            options=self.backend_options,
+            options=self.options,
             deadline=token.deadline,
             tenant=tenant,
             retry_policy=self._tenant_retry_policy(tenant),
@@ -903,10 +853,11 @@ class QuantumJobService:
         inside the batch's failure envelope, so every rider sees the typed
         error instead of a hang.
         """
-        if self.backend != "qpp" or self.method == "statevector":
+        method = self.options.method
+        if self.backend != "qpp" or method == "statevector":
             return "statevector"
         classification = classify_clifford(spec.circuit)
-        return self._cost_model.choose_backend(classification, self.method)
+        return self._cost_model.choose_backend(classification, method)
 
     def _sweep_method(self, spec: JobSpec, bindings) -> str:
         """Simulation method for one sweep chunk.
@@ -917,13 +868,14 @@ class QuantumJobService:
         Clifford (a mixed sweep stays dense: per-binding lane splits would
         break the one-compile-one-lane contract sweeps advertise).
         """
-        if self.backend != "qpp" or self.method == "statevector":
+        method = self.options.method
+        if self.backend != "qpp" or method == "statevector":
             return "statevector"
         for binding in bindings:
             bound = spec.circuit.bind(binding) if spec.circuit.is_parameterized else spec.circuit
             classification = classify_clifford(bound)
             if not classification.is_clifford:
-                if self.method == "stabilizer":
+                if method == "stabilizer":
                     raise ExecutionError(
                         f"method 'stabilizer' was requested but binding "
                         f"{canonical_binding(binding)!r} is not Clifford: "
@@ -966,7 +918,10 @@ class QuantumJobService:
             target_shots = batch.target_shots
             method = self._method_for(spec)
             requested_bytes = estimate_job_bytes(
-                spec.n_qubits, target_shots, precision=self.precision, method=method
+                spec.n_qubits,
+                target_shots,
+                precision=self.options.precision,
+                method=method,
             )
             with tracer.span(
                 "admission",
@@ -1098,7 +1053,10 @@ class QuantumJobService:
                 )
                 method = self._sweep_method(spec, bindings)
                 requested_bytes = estimate_job_bytes(
-                    spec.n_qubits, spec.shots, precision=self.precision, method=method
+                    spec.n_qubits,
+                    spec.shots,
+                    precision=self.options.precision,
+                    method=method,
                 ) * max(1, width)
                 with tracer.span(
                     "admission",
@@ -1191,17 +1149,7 @@ class QuantumJobService:
                 )
             self._metrics.increment("stabilizer_executions", len(results))
             return results
-        chunk_threshold = self.backend_options.get("chunk-threshold")
-        kwargs = dict(
-            n_qubits=spec.n_qubits,
-            seed=get_config().seed,
-            optimize=bool(self.backend_options.get("optimize", True)),
-            batch_diagonals=bool(self.backend_options.get("batch-diagonals", True)),
-            chunk_threshold=(
-                None if chunk_threshold is None else int(chunk_threshold)  # type: ignore[arg-type]
-            ),
-            precision=self.precision,
-        )
+        kwargs = dict(n_qubits=spec.n_qubits, seed=get_config().seed, options=spec.options)
         if self._sharded is not None:
             if self._breaker.allow():
                 try:
@@ -1239,7 +1187,8 @@ class QuantumJobService:
                 "backend; sweeps need a plan-based backend"
             )
         with tracer.span("sweep-execute", attrs={"bindings": len(bindings)}):
-            return backend_factory().execute_sweep(spec.circuit, bindings, spec.shots, **kwargs)
+            backend = backend_factory()
+            return backend.execute_sweep(spec.circuit, bindings, spec.shots, **kwargs)
 
     def _counts_for(
         self,
@@ -1301,11 +1250,8 @@ class QuantumJobService:
         In-process mode runs on the dispatcher thread's own accelerator
         clone.  Process-shard mode routes the batch to the shard that owns
         ``spec.key`` — the hash affinity that keeps each worker process
-        replaying from a plan cache already warm with its keys — honouring
-        the service's ``optimize`` backend option (it is part of the job
-        key, so sharded and in-process results must agree on it).  The
-        ``use-plans: False`` A/B option has no sharded form and is rejected
-        with ``processes`` at construction.
+        replaying from a plan cache already warm with its keys — with the
+        spec's options, so sharded and in-process results agree.
 
         The shard lane sits behind a circuit breaker: infrastructure
         failures (dead workers, exhausted retry budgets) count against it,
@@ -1328,7 +1274,6 @@ class QuantumJobService:
             return dict(result.counts), result.seconds
         if self._sharded is not None:
             if self._breaker.allow():
-                chunk_threshold = self.backend_options.get("chunk-threshold")
                 try:
                     with tracer.span("shard-dispatch", attrs={"shots": shots}):
                         result = self._sharded.execute_for_key(
@@ -1337,10 +1282,7 @@ class QuantumJobService:
                             shots,
                             n_qubits=spec.n_qubits,
                             seed=get_config().seed,
-                            optimize=bool(self.backend_options.get("optimize", True)),
-                            batch_diagonals=bool(self.backend_options.get("batch-diagonals", True)),
-                            chunk_threshold=None if chunk_threshold is None else int(chunk_threshold),  # type: ignore[arg-type]
-                            precision=self.precision,
+                            options=spec.options,
                             retry_policy=spec.retry_policy,  # type: ignore[arg-type]
                         )
                 except Exception as exc:

@@ -32,6 +32,7 @@ from typing import Callable
 from ..config import get_config
 from ..core.api import finalize, initialize
 from ..core.race_detector import get_race_detector
+from ..exec.options import ExecutionOptions
 from ..runtime.accelerator import Accelerator
 from .batching import BatchingJobQueue, PendingBatch
 
@@ -47,7 +48,7 @@ class DispatcherPool:
         handler: Callable[[PendingBatch, Accelerator], None],
         workers: int = 4,
         backend: str | None = None,
-        backend_options: dict[str, object] | None = None,
+        options: ExecutionOptions | None = None,
         name: str = "job-broker",
         on_init_failure: Callable[[BaseException], None] | None = None,
     ):
@@ -56,7 +57,7 @@ class DispatcherPool:
         self._queue = queue
         self._handler = handler
         self._backend = backend
-        self._backend_options = dict(backend_options or {})
+        self._options = options
         self._on_init_failure = on_init_failure
         self._threads = [
             threading.Thread(
@@ -108,7 +109,7 @@ class DispatcherPool:
             # The returned instance is kept for the worker's whole life: in
             # legacy mode a per-batch get_qpu() could lazily re-resolve the
             # nulled shared global *without* this pool's backend options.
-            qpu = initialize(self._backend, options=self._backend_options or None)
+            qpu = initialize(self._backend, options=self._options)
         except BaseException as exc:
             with self._init_lock:
                 self._init_errors.append(exc)

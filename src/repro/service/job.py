@@ -13,11 +13,12 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from ..cancellation import CancelToken
 from ..exceptions import ExecutionError, JobCancelled
+from ..exec.options import DEFAULT_OPTIONS, ExecutionOptions
 from ..ir.composite import CompositeInstruction
 from ..obs.trace import NOOP_SPAN
 
@@ -42,7 +43,8 @@ class JobSpec:
     shots: int
     n_qubits: int
     priority: JobPriority = JobPriority.NORMAL
-    options: Mapping[str, object] = field(default_factory=dict)
+    #: The broker's parsed execution options (carried to every lane).
+    options: ExecutionOptions = DEFAULT_OPTIONS
     #: Absolute wall-clock deadline (``time.time()``-based) or ``None``.
     #: Deliberately excluded from the job key: a deadline changes whether a
     #: result arrives, never what the result is.

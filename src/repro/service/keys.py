@@ -11,17 +11,20 @@ identity (see :mod:`repro.service.cache`).
 The circuit portion of the key is a hash over the canonical JSON form
 produced by :mod:`repro.ir.serialization`, with the circuit *name* removed:
 ``bell`` and ``bell_copy`` containing identical instructions are the same
-work.  The configuration portion fingerprints the backend name plus whatever
-options the broker passes to the backend (noise model parameters, simulator
+work.  The configuration portion fingerprints the backend name plus the
+semantic fields of the broker's :class:`~repro.exec.options.ExecutionOptions`
+(noise model parameters, precision, an explicit method; the simulator
 thread count is excluded — it changes speed, not distributions).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from typing import Mapping
 
+from ..exec.options import ExecutionOptions
 from ..ir.composite import CompositeInstruction
 from ..ir.serialization import circuit_content_hash
 
@@ -34,68 +37,6 @@ __all__ = [
     "canonical_binding",
 ]
 
-#: Backend options that do not affect measurement distributions and must not
-#: fragment the cache (they tune performance, not physics).  ``processes``
-#: selects the process-sharded execution backend; its reductions are
-#: deterministic, so it is a routing knob, not part of the result identity.
-#: ``chunk-threshold`` gates chunk-parallel plan replay and
-#: ``shm-processes`` moves that replay onto shared-memory worker processes
-#: (both bitwise identical to serial replay); ``batch-diagonals`` collapses
-#: diagonal runs at compile time (reassociates floating-point products —
-#: ulp-level amplitude shifts, identical distributions).  All of them stay
-#: out of the job identity.  Consequence: the result cache may serve a
-#: batched-plan histogram to a ``batch-diagonals: False`` submission;
-#: callers who need bit-exact gate-by-gate reproduction (not just
-#: distributional identity) should disable the result cache rather than
-#: rely on this option fragmenting it.
-#:
-#: The job-lifecycle knobs (``deadline-seconds``, ``memory-budget-bytes``,
-#: ``admission-wait-seconds``, ``breaker-failure-threshold``,
-#: ``breaker-cooldown-seconds``, ``retry-max-attempts``) are likewise
-#: non-semantic: they decide *whether and when* a result arrives — a job
-#: may fail with DeadlineExceeded or AdmissionRejected under one setting
-#: and succeed under another — but never change the histogram a successful
-#: job returns, so a result produced under a tight deadline is perfectly
-#: reusable by a submission with a loose one.  ``adaptive-lane`` only picks
-#: which execution lane replays the plan — every lane is bit-identical at a
-#: given precision — so it too stays out of the identity.
-#:
-#: ``"precision"`` is deliberately **not** listed: the complex64 tier
-#: changes the evolved amplitudes (within the documented fidelity bound)
-#: and therefore the sampled distribution, so it is semantic — a
-#: ``precision: "single"`` submission must never be served a complex128
-#: histogram or vice versa.
-#:
-#: ``"method"`` (``auto`` / ``statevector`` / ``stabilizer``) is handled
-#: specially in :func:`config_fingerprint` rather than listed here.  An
-#: *explicit* method is semantic: forcing the tableau or the dense lane
-#: pins the sampling law (the tableau draws its randomness from GF(2)
-#: affine forms, the statevector from a multinomial over amplitudes — same
-#: distribution, different per-seed streams), so an explicit choice must
-#: not share cache entries with the other lane.  The default ``auto`` is
-#: *non-semantic*: it is the broker's routing decision, and the whole
-#: point of automatic Clifford routing is that callers who did not ask for
-#: a method get the fast path without their job identity moving.
-_NON_SEMANTIC_OPTIONS = frozenset(
-    {
-        "threads",
-        "latency-seconds",
-        "processes",
-        "shm-processes",
-        "shm-states",
-        "batch-diagonals",
-        "chunk-threshold",
-        "adaptive-lane",
-        "deadline-seconds",
-        "memory-budget-bytes",
-        "admission-wait-seconds",
-        "breaker-failure-threshold",
-        "breaker-cooldown-seconds",
-        "retry-max-attempts",
-    }
-)
-
-
 def _canonical_json(payload: object) -> str:
     """Serialize ``payload`` deterministically (sorted keys, no whitespace)."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"), default=repr)
@@ -106,28 +47,29 @@ def _canonical_json(payload: object) -> str:
 # on one content identity, so the canonical hash lives with the IR.
 
 
-def config_fingerprint(
-    backend: str, options: Mapping[str, object] | None = None
-) -> str:
-    """Fingerprint of the execution environment a result depends on."""
-    semantic = {
-        key: value
-        for key, value in (options or {}).items()
-        if key not in _NON_SEMANTIC_OPTIONS
-    }
-    # The default method ("auto") is a routing decision, not an identity
-    # (see the module docstring above); explicit methods stay semantic.
-    method = semantic.get("method")
-    if method is not None and str(method).strip().lower() == "auto":
-        semantic = {key: value for key, value in semantic.items() if key != "method"}
-    payload = {"backend": backend.lower(), "options": semantic}
+@functools.lru_cache(maxsize=256)
+def _fingerprint(backend: str, options: ExecutionOptions) -> str:
+    payload = {"backend": backend.lower(), "options": dict(options.semantic_items)}
     return hashlib.sha256(_canonical_json(payload).encode("utf-8")).hexdigest()
+
+
+def config_fingerprint(
+    backend: str, options: ExecutionOptions | Mapping[str, object] | None = None
+) -> str:
+    """Fingerprint of the execution environment a result depends on.
+
+    Derived from the *semantic* option fields that differ from their
+    defaults (see :class:`~repro.exec.options.ExecutionOptions` for which
+    fields are semantic and why), so explicit defaults, alias spellings and
+    non-semantic knobs never split the result cache.
+    """
+    return _fingerprint(backend, ExecutionOptions.parse(options))
 
 
 def job_key(
     circuit: CompositeInstruction,
     backend: str,
-    options: Mapping[str, object] | None = None,
+    options: ExecutionOptions | Mapping[str, object] | None = None,
 ) -> str:
     """Canonical key for (circuit content, backend, config) — shots excluded."""
     combined = circuit_content_hash(circuit) + ":" + config_fingerprint(backend, options)
@@ -175,7 +117,7 @@ def canonical_binding(binding) -> object:
 def sweep_key(
     circuit: CompositeInstruction,
     backend: str,
-    options: Mapping[str, object] | None = None,
+    options: ExecutionOptions | Mapping[str, object] | None = None,
     bindings=(),
 ) -> str:
     """Canonical key for a parameter sweep (binding list is semantic)."""
@@ -192,7 +134,7 @@ def sweep_key(
 def binding_key(
     circuit: CompositeInstruction,
     backend: str,
-    options: Mapping[str, object] | None = None,
+    options: ExecutionOptions | Mapping[str, object] | None = None,
     binding=(),
 ) -> str:
     """Cache identity of one binding of a parametric circuit.

@@ -1283,10 +1283,12 @@ def _compile(
     # Recorded so the shared-memory pool can ship the *source* circuit by
     # content hash and have every worker compile a bitwise-identical plan
     # with the same options (see ExecutionPlan.replay_descriptor).
-    plan.source_circuit = circuit
+    # Plans fused at a non-default width are not expressible as execution
+    # options, so they never ship.
+    if fusion_max_qubits == DEFAULT_FUSION_MAX_QUBITS:
+        plan.source_circuit = circuit
     plan.compile_options = {
         "optimize": bool(optimize),
-        "fusion_max_qubits": int(fusion_max_qubits),
         "batch_diagonals": bool(batch_diagonals),
         "chunk_threshold": chunk_threshold,
         "precision": precision,

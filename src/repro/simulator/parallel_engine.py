@@ -289,7 +289,7 @@ class ParallelSimulationEngine:
                 shots,
                 n_qubits=n_qubits,
                 seed=seed,
-                optimize=False,
+                options={"optimize": False},
                 trajectories=True,
             )
             return dict(result.counts)

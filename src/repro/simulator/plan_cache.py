@@ -18,6 +18,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import Callable
 
 from ..exceptions import ExecutionError
 from ..ir.composite import CompositeInstruction
@@ -25,14 +26,10 @@ from ..ir.serialization import circuit_content_hash
 from ..obs.trace import get_tracer
 from ..testing import faults
 from .execution_plan import (
-    DEFAULT_CHUNK_THRESHOLD,
-    DEFAULT_FUSION_MAX_QUBITS,
-    DEFAULT_PRECISION,
     ExecutionPlan,
     ParametricExecutionPlan,
     compile_parametric_plan,
     compile_plan,
-    resolve_precision,
 )
 
 __all__ = [
@@ -99,36 +96,39 @@ class PlanCache:
         self,
         circuit: CompositeInstruction,
         n_qubits: int | None = None,
-        *,
-        optimize: bool = True,
-        fusion_max_qubits: int = DEFAULT_FUSION_MAX_QUBITS,
-        batch_diagonals: bool = True,
-        chunk_threshold: int | None = None,
-        precision: str = DEFAULT_PRECISION,
+        options=None,
     ) -> tuple[ExecutionPlan | ParametricExecutionPlan, bool]:
         """Return ``(plan, was_cache_hit)`` for ``circuit``.
 
-        Compilation happens outside the lock; when two threads race on the
-        same key the first insertion wins so every caller shares one plan.
-        All compile options participate in the key — ``chunk_threshold``
-        never changes results, but it is baked into the compiled plan, so
-        distinct thresholds must not share an entry; ``precision`` *does*
-        change results (complex64 plans hold complex64 payloads).
+        ``options`` is an :class:`~repro.exec.options.ExecutionOptions` (or a
+        mapping/``None``, parsed once here); its ``compile_key`` joins the
+        content hash and width in the cache key.
         """
         width = max(circuit.n_qubits, 1 if n_qubits is None else int(n_qubits), 1)
-        threshold = (
-            DEFAULT_CHUNK_THRESHOLD if chunk_threshold is None else int(chunk_threshold)
+        return self.lookup_digest(
+            cached_content_hash(circuit), width, options, lambda: circuit
         )
-        precision = resolve_precision(precision)
-        key = (
-            cached_content_hash(circuit),
-            width,
-            bool(optimize),
-            int(fusion_max_qubits),
-            bool(batch_diagonals),
-            threshold,
-            precision,
-        )
+
+    def lookup_digest(
+        self,
+        digest: str,
+        width: int,
+        options,
+        load: Callable[[], CompositeInstruction],
+        fault_site: str = "plan.compile",
+    ) -> tuple[ExecutionPlan | ParametricExecutionPlan, bool]:
+        """Digest-keyed lookup: ``load()`` runs only on a miss.
+
+        Worker processes receive circuits as (content hash, canonical JSON)
+        and pass a ``load`` that deserialises the JSON, so a cache hit
+        deserialises nothing.  Compilation happens outside the lock; when
+        two threads race on the same key the first insertion wins so every
+        caller shares one plan.
+        """
+        from ..exec.options import ExecutionOptions  # exec imports this module
+
+        options = ExecutionOptions.parse(options)
+        key = (digest, width, options.compile_key)
         with self._lock:
             plan = self._entries.get(key)
             if plan is not None:
@@ -136,30 +136,12 @@ class PlanCache:
                 self._hits += 1
                 return plan, True
             self._misses += 1
-        with get_tracer().span(
-            "plan-compile", attrs={"circuit": circuit.name, "width": width}
-        ):
-            faults.fire("plan.compile")
-            if circuit.is_parameterized:
-                plan = compile_parametric_plan(
-                    circuit,
-                    width,
-                    optimize=optimize,
-                    fusion_max_qubits=fusion_max_qubits,
-                    batch_diagonals=batch_diagonals,
-                    chunk_threshold=threshold,
-                    precision=precision,
-                )
-            else:
-                plan = compile_plan(
-                    circuit,
-                    width,
-                    optimize=optimize,
-                    fusion_max_qubits=fusion_max_qubits,
-                    batch_diagonals=batch_diagonals,
-                    chunk_threshold=threshold,
-                    precision=precision,
-                )
+        with get_tracer().span("plan-compile", attrs={"width": width}) as span:
+            faults.fire(fault_site)
+            circuit = load()
+            span.set_attribute("circuit", circuit.name)
+            compiler = compile_parametric_plan if circuit.is_parameterized else compile_plan
+            plan = compiler(circuit, width, **options.compile_kwargs)
         with self._lock:
             existing = self._entries.get(key)
             if existing is not None:
@@ -175,24 +157,10 @@ class PlanCache:
         self,
         circuit: CompositeInstruction,
         n_qubits: int | None = None,
-        *,
-        optimize: bool = True,
-        fusion_max_qubits: int = DEFAULT_FUSION_MAX_QUBITS,
-        batch_diagonals: bool = True,
-        chunk_threshold: int | None = None,
-        precision: str = DEFAULT_PRECISION,
+        options=None,
     ) -> ExecutionPlan | ParametricExecutionPlan:
         """Like :meth:`lookup_or_compile` but returns only the plan."""
-        plan, _ = self.lookup_or_compile(
-            circuit,
-            n_qubits,
-            optimize=optimize,
-            fusion_max_qubits=fusion_max_qubits,
-            batch_diagonals=batch_diagonals,
-            chunk_threshold=chunk_threshold,
-            precision=precision,
-        )
-        return plan
+        return self.lookup_or_compile(circuit, n_qubits, options)[0]
 
     def __len__(self) -> int:
         with self._lock:

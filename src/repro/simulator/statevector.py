@@ -211,8 +211,10 @@ class StateVector:
         from .plan_cache import get_plan_cache
 
         cache = plan_cache if plan_cache is not None else get_plan_cache()
-        precision = "single" if self._data.dtype == np.dtype(np.complex64) else "double"
-        plan = cache.get_or_compile(circuit, n_qubits=self.n_qubits, precision=precision)
+        single = self._data.dtype == np.dtype(np.complex64)
+        plan = cache.get_or_compile(
+            circuit, self.n_qubits, {"precision": "single"} if single else None
+        )
         if plan.is_parametric:
             if parameter_values is None:
                 raise ExecutionError(

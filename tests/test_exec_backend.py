@@ -30,6 +30,8 @@ from repro.simulator.execution_plan import compile_parametric_plan, compile_plan
 from repro.simulator.parallel_engine import ParallelSimulationEngine
 from repro.simulator.plan_cache import reset_plan_cache
 
+from gate_by_gate import gate_by_gate_counts
+
 
 @pytest.fixture(autouse=True)
 def fresh_plan_cache():
@@ -170,15 +172,8 @@ class TestAcceleratorAdapter:
         circuit = qft_circuit(4)
         plan_buffer = AcceleratorBuffer(4)
         QppAccelerator({"threads": 1}).execute(plan_buffer, circuit, shots=256)
-        legacy_buffer = AcceleratorBuffer(4)
-        QppAccelerator({"threads": 1, "use-plans": False}).execute(
-            legacy_buffer, circuit, shots=256
-        )
-        assert (
-            plan_buffer.get_measurement_counts()
-            == legacy_buffer.get_measurement_counts()
-        )
-        assert legacy_buffer.information["plan-cached"] is False
+        legacy, _, _ = gate_by_gate_counts(circuit, 4, 256, threads=1)
+        assert plan_buffer.get_measurement_counts() == legacy
 
     def test_executor_routes_processes_option(self):
         # processes=1 must not engage sharding (stays on the local seam).

@@ -285,16 +285,6 @@ class TestShardedBroker:
             sharded = service.submit(circuit, shots=256).counts()
         assert sharded == reference
 
-    def test_use_plans_false_rejected_with_processes(self):
-        # The gate-by-gate A/B path has no plan form: forking shard workers
-        # that could never serve it would be pure waste, so the combination
-        # is rejected up front.
-        with pytest.raises(ExecutionError, match="use-plans"):
-            QuantumJobService(
-                backend="qpp", workers=1, processes=2,
-                backend_options={"use-plans": False}, name="legacy-ab",
-            )
-
     def test_sharded_plan_hits_counter(self):
         set_config(seed=6)
         circuit = ghz_circuit(4)
@@ -341,7 +331,7 @@ class TestShardedBroker:
             # compiled once, so no other shard saw the circuit at all.
             from repro.service.keys import job_key
 
-            key = job_key(circuit, "qpp", service.backend_options)
+            key = job_key(circuit, "qpp", service.options)
             shard = executor.shard_for(key)
             assert 0 <= shard < 2
 

@@ -188,13 +188,13 @@ class TestShmCountsIdentity:
         with ShardedExecutor(2, name="shm-counts-shard") as sharded:
             for name, (circuit, width) in algorithm_suite().items():
                 reference = local.execute(
-                    circuit, 256, n_qubits=width, seed=4242, chunk_threshold=2
+                    circuit, 256, n_qubits=width, seed=4242, options={"chunk-threshold": 2}
                 )
                 via_shm = shm.execute(
-                    circuit, 256, n_qubits=width, seed=4242, chunk_threshold=2
+                    circuit, 256, n_qubits=width, seed=4242, options={"chunk-threshold": 2}
                 )
                 via_shards = sharded.execute(
-                    circuit, 256, n_qubits=width, seed=4242, chunk_threshold=2
+                    circuit, 256, n_qubits=width, seed=4242, options={"chunk-threshold": 2}
                 )
                 assert dict(via_shm.counts) == dict(reference.counts), name
                 assert dict(via_shards.counts) == dict(reference.counts), name
@@ -212,8 +212,9 @@ class TestShmCountsIdentity:
             engine=ParallelSimulationEngine(num_threads=2), shm_pool=pool
         )
         circuit = qft_circuit(6)
-        reference = local.expectation(circuit, observable, n_qubits=6, chunk_threshold=2)
-        via_shm = shm.expectation(circuit, observable, n_qubits=6, chunk_threshold=2)
+        chunked = {"chunk-threshold": 2}
+        reference = local.expectation(circuit, observable, n_qubits=6, options=chunked)
+        via_shm = shm.expectation(circuit, observable, n_qubits=6, options=chunked)
         assert reference == via_shm
         pool.close()
         local.close()
@@ -511,11 +512,11 @@ class TestShmTeardown:
         must still release the worker-owned segments."""
         shor = period_finding_circuit(15, 2)
         reference = LocalBackend(engine=ParallelSimulationEngine(num_threads=1))
-        expected = reference.execute(shor, 128, seed=77, chunk_threshold=2)
+        expected = reference.execute(shor, 128, seed=77, options={"chunk-threshold": 2})
         reference.close()
         with ShardedExecutor(1, name="shm-borrow", shm_processes=2) as sharded:
             result = sharded.execute_for_key(
-                "feed" * 16, shor, 128, seed=77, chunk_threshold=2
+                "feed" * 16, shor, 128, seed=77, options={"chunk-threshold": 2}
             )
             assert dict(result.counts) == dict(expected.counts)
         # ShardedExecutor.close() joined the shard worker; its finalizer

@@ -140,13 +140,14 @@ class TestFidelityBound:
         executor = ShardedExecutor(2, name=f"prec-shard-{name}")
         try:
             for precision in ("double", "single"):
+                options = {"precision": precision}
                 expected = local.execute(
                     circuit, 128, n_qubits=circuit.n_qubits, seed=13,
-                    precision=precision,
+                    options=options,
                 ).counts
                 sharded = executor.execute(
                     circuit, 128, n_qubits=circuit.n_qubits, seed=13,
-                    precision=precision,
+                    options=options,
                 ).counts
                 assert sharded == expected, f"{name}/{precision}"
         finally:
@@ -185,11 +186,11 @@ class TestAdaptiveLaneSelection:
             circuit = factory()
             expected = fixed.execute(
                 circuit, 256, n_qubits=circuit.n_qubits, seed=99,
-                precision="single",
+                options={"precision": "single"},
             ).counts
             got = adaptive.execute(
                 circuit, 256, n_qubits=circuit.n_qubits, seed=99,
-                precision="single",
+                options={"precision": "single"},
             ).counts
             # Lane choice reorders nothing: within one tier the replay is
             # bit-identical, so the fixed-seed histograms agree exactly.
@@ -222,7 +223,7 @@ class TestPrecisionIsSemantic:
         circuit = ghz_circuit(4)
         cache = get_plan_cache()
         double = cache.get_or_compile(circuit, 4)
-        single = cache.get_or_compile(circuit, 4, precision="single")
+        single = cache.get_or_compile(circuit, 4, {"precision": "single"})
         assert double.dtype == np.dtype(np.complex128)
         assert single.dtype == np.dtype(np.complex64)
         assert double is not single
@@ -231,7 +232,7 @@ class TestPrecisionIsSemantic:
         # PR-8 follow-up: the density lane now has a complex64 tier instead
         # of rejecting non-double precision outright.
         result = DensityBackend().execute(
-            bell_circuit(), 32, n_qubits=2, precision="single"
+            bell_circuit(), 32, n_qubits=2, options={"precision": "single"}
         )
         assert result.extra["precision"] == "single"
         assert sum(result.counts.values()) == 32
@@ -246,12 +247,3 @@ class TestPrecisionIsSemantic:
         assert single.data.dtype == np.dtype(np.complex64)
         error = np.max(np.abs(single.probabilities() - double.probabilities()))
         assert error <= 1e-4
-
-    def test_gate_by_gate_path_rejects_single_precision(self):
-        from repro.exceptions import AcceleratorError
-        from repro.runtime.buffer import AcceleratorBuffer
-        from repro.runtime.qpp_accelerator import QppAccelerator
-
-        qpu = QppAccelerator({"use-plans": False, "precision": "single"})
-        with pytest.raises(AcceleratorError, match="complex128 only"):
-            qpu.execute(AcceleratorBuffer(2), bell_circuit(), shots=16)

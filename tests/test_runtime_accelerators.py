@@ -61,7 +61,7 @@ class TestQppAccelerator:
         accelerator = QppAccelerator({"threads": 3, "optimize": False})
         clone = accelerator.clone()
         assert clone is not accelerator
-        assert clone.options["threads"] == 3
+        assert clone.options.threads == 3
         assert clone.num_threads == 3
 
     def test_update_configuration_changes_threads(self):

@@ -281,14 +281,16 @@ class TestPrioritiesAndLifecycle:
             with pytest.raises(ExecutionError):
                 service.submit(deuteron_ansatz_circuit(), shots=64)
 
-    def test_all_workers_failing_init_fails_pending_jobs(self):
+    def test_all_workers_failing_init_fails_pending_jobs(self, monkeypatch):
         """When every dispatcher dies in initialize(), clients must get the
         error instead of blocking forever on their handles."""
-        service = QuantumJobService(
-            workers=2,
-            backend_options={"threads": "not-a-number"},  # poisons initialize()
-            auto_start=False,
-        )
+        from repro.service import dispatcher
+
+        def poisoned_initialize(*args, **kwargs):
+            raise ExecutionError("backend refused to initialize")
+
+        monkeypatch.setattr(dispatcher, "initialize", poisoned_initialize)
+        service = QuantumJobService(workers=2, auto_start=False)
         handle = service.submit(bell_circuit(2), shots=64)
         service.start()
         with pytest.raises(ExecutionError, match="failed to initialize"):

@@ -47,9 +47,68 @@ class TestJobKeys:
         ) == config_fingerprint("qpp")
 
     def test_semantic_options_fragment_keys(self):
-        assert config_fingerprint("noisy-qpp", {"p1": 0.01}) != config_fingerprint(
-            "noisy-qpp", {"p1": 0.05}
-        )
+        assert config_fingerprint(
+            "noisy-qpp", {"depolarizing-probability": 0.01}
+        ) != config_fingerprint("noisy-qpp", {"depolarizing-probability": 0.05})
+
+    @pytest.mark.parametrize(
+        "options, equivalent",
+        [
+            pytest.param({"optimize": True}, {}, id="explicit-optimize-default"),
+            pytest.param({"precision": "double"}, {}, id="explicit-precision-default"),
+            pytest.param({"method": "auto"}, {}, id="explicit-method-default"),
+            pytest.param({"depolarizing-probability": 0.0}, {}, id="explicit-noise-default"),
+            pytest.param(
+                {"precision": "complex64"}, {"precision": "single"}, id="complex64-alias"
+            ),
+            pytest.param({"precision": "FP32"}, {"precision": "single"}, id="fp32-alias"),
+            pytest.param(
+                {"precision": "complex128"}, {"precision": "double"}, id="complex128-alias"
+            ),
+            pytest.param(
+                {"method": "Statevector"}, {"method": "statevector"}, id="method-case"
+            ),
+            pytest.param(
+                {"method": " STABILIZER "}, {"method": "stabilizer"}, id="method-spacing"
+            ),
+            pytest.param(
+                {
+                    "threads": 8,
+                    "shots": 100,
+                    "processes": 2,
+                    "shm-processes": 4,
+                    "shm-states": 2,
+                    "adaptive-lane": True,
+                    "latency-seconds": 0.5,
+                    "deadline-seconds": 1.0,
+                    "memory-budget-bytes": 1 << 20,
+                },
+                {},
+                id="non-semantic-fields",
+            ),
+        ],
+    )
+    def test_equivalent_configurations_share_a_fingerprint(self, options, equivalent):
+        assert config_fingerprint("qpp", options) == config_fingerprint("qpp", equivalent)
+
+    @pytest.mark.parametrize(
+        "options, other",
+        [
+            pytest.param({"optimize": False}, {}, id="optimize"),
+            pytest.param({"precision": "single"}, {}, id="precision"),
+            pytest.param({"method": "statevector"}, {}, id="explicit-method"),
+            pytest.param(
+                {"method": "stabilizer"}, {"method": "statevector"}, id="method-choice"
+            ),
+            pytest.param({"depolarizing-probability": 0.01}, {}, id="noise"),
+        ],
+    )
+    def test_semantic_fields_split_the_fingerprint(self, options, other):
+        assert config_fingerprint("qpp", options) != config_fingerprint("qpp", other)
+
+    def test_misspelled_key_is_rejected_not_fingerprinted(self):
+        with pytest.raises(ExecutionError, match="'chunk_threshold'"):
+            config_fingerprint("qpp", {"chunk_threshold": 2})
 
     def test_backend_name_case_insensitive(self):
         assert config_fingerprint("QPP") == config_fingerprint("qpp")

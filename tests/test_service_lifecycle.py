@@ -119,14 +119,7 @@ class TestDeadlines:
         tuned = job_key(
             circuit,
             "qpp",
-            {
-                "deadline-seconds": 1.0,
-                "memory-budget-bytes": 1 << 30,
-                "admission-wait-seconds": 0.5,
-                "breaker-failure-threshold": 5,
-                "breaker-cooldown-seconds": 1.0,
-                "retry-max-attempts": 4,
-            },
+            {"deadline-seconds": 1.0, "memory-budget-bytes": 1 << 30},
         )
         assert plain == tuned
 
@@ -248,9 +241,12 @@ class TestServiceAdmission:
             assert service.metrics().admission_rejected == 0
 
     def test_memory_budget_via_backend_options(self):
-        options = {"memory-budget-bytes": 2048, "admission-wait-seconds": 0.1}
         with QuantumJobService(
-            backend="qpp", workers=1, backend_options=options, name="life-adm-opt"
+            backend="qpp",
+            workers=1,
+            backend_options={"memory-budget-bytes": 2048},
+            admission_wait_seconds=0.1,
+            name="life-adm-opt",
         ) as service:
             assert service.admission.budget_bytes == 2048
             assert service.admission.max_wait == pytest.approx(0.1)
@@ -280,7 +276,7 @@ class TestBreakerDegradation:
             backend="qpp",
             workers=1,
             processes=2,
-            backend_options={"breaker-failure-threshold": 1},
+            breaker_failure_threshold=1,
             name="life-breaker",
         )
         try:
@@ -321,7 +317,7 @@ class TestBreakerDegradation:
             backend="qpp",
             workers=1,
             processes=2,
-            backend_options={"breaker-failure-threshold": 1},
+            breaker_failure_threshold=1,
             name="life-breaker-job",
         )
         try:

@@ -297,10 +297,10 @@ class TestShardedChunkedCountsIdentity:
         with ShardedExecutor(2, name="chunk-identity") as sharded:
             for name, (circuit, width) in algorithm_suite().items():
                 reference = local.execute(
-                    circuit, 256, n_qubits=width, seed=4242, chunk_threshold=2
+                    circuit, 256, n_qubits=width, seed=4242, options={"chunk-threshold": 2}
                 )
                 result = sharded.execute(
-                    circuit, 256, n_qubits=width, seed=4242, chunk_threshold=2
+                    circuit, 256, n_qubits=width, seed=4242, options={"chunk-threshold": 2}
                 )
                 assert dict(result.counts) == dict(reference.counts), name
         local.close()
@@ -312,10 +312,10 @@ class TestShardedChunkedCountsIdentity:
         backend = LocalBackend(engine=ParallelSimulationEngine(num_threads=3))
         for name, (circuit, width) in algorithm_suite().items():
             unchunked = backend.execute(
-                circuit, 512, n_qubits=width, seed=7, chunk_threshold=1 << 30
+                circuit, 512, n_qubits=width, seed=7, options={"chunk-threshold": 1 << 30}
             )
             chunked = backend.execute(
-                circuit, 512, n_qubits=width, seed=7, chunk_threshold=2
+                circuit, 512, n_qubits=width, seed=7, options={"chunk-threshold": 2}
             )
             assert dict(unchunked.counts) == dict(chunked.counts), name
         backend.close()

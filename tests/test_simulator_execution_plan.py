@@ -24,6 +24,8 @@ from repro.simulator.parallel_engine import ParallelSimulationEngine
 from repro.simulator.plan_cache import PlanCache, get_plan_cache, reset_plan_cache
 from repro.simulator.statevector import StateVector
 
+from gate_by_gate import gate_by_gate_counts
+
 
 def naive_state(circuit, n_qubits):
     state = StateVector(n_qubits)
@@ -270,7 +272,7 @@ class TestPlanCache:
         circuit = CircuitBuilder(2).h(0).build()
         cache.lookup_or_compile(circuit, 2)
         _, hit_wider = cache.lookup_or_compile(circuit, 3)
-        _, hit_unopt = cache.lookup_or_compile(circuit, 2, optimize=False)
+        _, hit_unopt = cache.lookup_or_compile(circuit, 2, {"optimize": False})
         assert not hit_wider and not hit_unopt
         assert len(cache) == 3
 
@@ -330,11 +332,11 @@ class TestAcceleratorPlans:
             "vqe": (vqe, max(vqe.n_qubits, 2)),
         }
         circuit, width = suite[name]
-        planned, info = self._counts(circuit, width, {"use-plans": True})
-        legacy, legacy_info = self._counts(circuit, width, {"use-plans": False})
+        planned, info = self._counts(circuit, width, {})
+        legacy, depth, n_gates = gate_by_gate_counts(circuit, width, 256)
         assert planned == legacy
-        assert info["circuit-depth"] == legacy_info["circuit-depth"]
-        assert info["circuit-gates"] == legacy_info["circuit-gates"]
+        assert info["circuit-depth"] == depth
+        assert info["circuit-gates"] == n_gates
 
     def test_repeat_executions_hit_the_plan_cache(self):
         reset_plan_cache()
@@ -351,8 +353,8 @@ class TestAcceleratorPlans:
         circuit = (
             CircuitBuilder(3).h(0).cx(0, 1).reset(1).ry(2, 0.8).measure(0).measure(1).measure(2).build()
         )
-        planned, _ = self._counts(circuit, 3, {"use-plans": True, "threads": 2})
-        legacy, _ = self._counts(circuit, 3, {"use-plans": False, "threads": 2})
+        planned, _ = self._counts(circuit, 3, {"threads": 2})
+        legacy, _, _ = gate_by_gate_counts(circuit, 3, 256, threads=2)
         assert planned == legacy
 
 
