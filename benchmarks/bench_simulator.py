@@ -8,6 +8,7 @@ independently of the figure-level results.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.algorithms.qft import qft_circuit
@@ -17,6 +18,7 @@ from repro.ir.builder import CircuitBuilder
 from repro.ir.parameter import Parameter
 from repro.ir.transforms import default_pass_manager
 from repro.simulator.execution_plan import compile_parametric_plan, compile_plan
+from repro.simulator.parallel_engine import ParallelSimulationEngine
 from repro.simulator.statevector import StateVector
 
 _BELL_SOURCE = """
@@ -101,6 +103,23 @@ def test_parametric_ansatz_plan_rebind(benchmark):
         return bound.execute(bound.new_state())
 
     benchmark(iteration)
+
+
+@pytest.mark.parametrize(
+    "n_qubits, measured",
+    [(16, "all"), (16, "half"), (20, "all")],
+    ids=["16q-all", "16q-half", "20q-all"],
+)
+def test_sample_parallel(benchmark, n_qubits, measured):
+    """The ``sample`` stage alone: 1024 shots from a seeded random dense
+    state at the default thread count (no replay in the timed region)."""
+    rng = np.random.default_rng(n_qubits)
+    amplitudes = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
+    state = StateVector(n_qubits, data=amplitudes / np.linalg.norm(amplitudes))
+    qubits = range(n_qubits) if measured == "all" else range(0, n_qubits, 2)
+    with ParallelSimulationEngine() as engine:
+        counts = benchmark(engine.sample_parallel, state, 1024, tuple(qubits), 7)
+    assert sum(counts.values()) == 1024
 
 
 def test_xasm_compilation_throughput(benchmark):

@@ -37,6 +37,7 @@ from ..exceptions import ExecutionError
 from ..ir.composite import CompositeInstruction
 from ..ir.transforms.clifford import CliffordClassification, classify_clifford
 from ..obs.trace import get_tracer
+from ..simulator.sampling import bitstrings, measured_set
 from ..testing import faults
 from .backend import ExecutionBackend, Params, _resolve_width
 from .options import OptionsLike
@@ -290,9 +291,7 @@ class StabilizerTableau:
         """
         if shots <= 0:
             raise ExecutionError(f"shots must be positive, got {shots}")
-        qubits = tuple(sorted(set(int(q) for q in measured_qubits)))
-        if not qubits:
-            raise ExecutionError("at least one qubit must be measured")
+        qubits = measured_set(measured_qubits)
         scratch = self.copy()
         forms = [scratch.measure(q) for q in qubits]
         width = scratch.phase.shape[1]
@@ -304,16 +303,15 @@ class StabilizerTableau:
         if coeffs.shape[1] == 0 or not coeffs.any():
             # Deterministic outcomes: the single bitstring every dense lane
             # produces at any seed — bitwise identical by construction.
-            key = "".join("1" if b else "0" for b in constant)
-            return {key: int(shots)}
+            return {bitstrings(constant[None, :])[0].decode(): int(shots)}
         rng = rng or np.random.default_rng()
         draws = rng.integers(0, 2, size=(shots, coeffs.shape[1]), dtype=np.uint8)
         bits = (draws.astype(np.int64) @ coeffs.T.astype(np.int64) + constant) % 2
-        values, counts = np.unique(bits, axis=0, return_counts=True)
-        return {
-            "".join("1" if b else "0" for b in row): int(count)
-            for row, count in zip(values, counts)
-        }
+        # One '0'/'1' byte string per shot; byte order is lexicographic, so
+        # the 1-D unique yields the same keys in the same order as a
+        # row-wise unique over the bit matrix.
+        values, counts = np.unique(bitstrings(bits), return_counts=True)
+        return dict(zip((value.decode() for value in values.tolist()), counts.tolist()))
 
     # -- exact expectations ----------------------------------------------------
     def expectation_sign(self, paulis: Mapping[int, str]) -> float:

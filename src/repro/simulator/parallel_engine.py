@@ -8,7 +8,9 @@ Python analogue used by :class:`repro.runtime.qpp_accelerator.QppAccelerator`:
   mid-circuit-measurement workloads, independent trajectory simulation)
   distributed over a thread pool.  Each worker gets its own RNG stream
   derived from a ``numpy.random.SeedSequence`` spawn so results are
-  reproducible regardless of the worker count.
+  reproducible regardless of the worker count.  Sampling computes one
+  marginal per job; the per-chunk streams are used only for the
+  multinomial draw, and only the outcomes actually drawn are formatted.
 * **Chunked state application** — large single-qubit gate updates are split
   into contiguous chunks processed by multiple workers.  NumPy releases the
   GIL inside the vectorised kernels, so chunks genuinely overlap for large
@@ -37,7 +39,7 @@ from ..config import get_config
 from ..exceptions import ExecutionError
 from ..ir.composite import CompositeInstruction
 from .execution_plan import DEFAULT_CHUNK_THRESHOLD, ExecutionPlan, compile_plan
-from .sampling import sample_counts
+from .sampling import counts_from_draws, marginal_distribution, measured_set, sample_counts
 from .statevector import StateVector
 
 __all__ = [
@@ -216,32 +218,28 @@ class ParallelSimulationEngine:
     ) -> dict[str, int]:
         """Sample ``shots`` outcomes using the worker pool.
 
-        The probability vector is computed once; each worker then draws its
-        chunk of shots from an independent RNG stream.
+        The job's marginal is computed once; the shots are then split into
+        chunks, each drawn with one multinomial on its own
+        ``SeedSequence(seed).spawn`` stream (the draws release the GIL, so
+        they overlap on the pool).  Only the outcomes actually drawn are
+        formatted, once, after the chunks merge.
         """
-        threads = self.effective_threads()
-        qubits = (
-            tuple(measured_qubits)
-            if measured_qubits is not None
-            else tuple(range(state.n_qubits))
+        chunks = split_shots(shots, self.effective_threads())
+        qubits = measured_set(
+            measured_qubits if measured_qubits is not None else range(state.n_qubits)
         )
-        probabilities = state.probabilities()
-        chunks = split_shots(shots, threads)
+        support, probs = marginal_distribution(state.probabilities(), qubits, state.n_qubits)
         seeds = np.random.SeedSequence(seed).spawn(len(chunks))
-        if len(chunks) == 1:
-            return sample_counts(
-                probabilities, chunks[0], qubits, state.n_qubits, np.random.default_rng(seeds[0])
-            )
 
-        def draw(chunk_and_seed: tuple[int, np.random.SeedSequence]) -> dict[str, int]:
+        def draw(chunk_and_seed: tuple[int, np.random.SeedSequence]) -> np.ndarray:
             chunk, seq = chunk_and_seed
-            return sample_counts(
-                probabilities, chunk, qubits, state.n_qubits, np.random.default_rng(seq)
-            )
+            return np.random.default_rng(seq).multinomial(chunk, probs)
 
-        pool = self._executor(len(chunks))
-        results = list(pool.map(draw, zip(chunks, seeds)))
-        return merge_counts(results)
+        if len(chunks) == 1:
+            draws = [draw((chunks[0], seeds[0]))]
+        else:
+            draws = list(self._executor(len(chunks)).map(draw, zip(chunks, seeds)))
+        return counts_from_draws(support, len(qubits), np.stack(draws))
 
     def run_trajectories(
         self,
